@@ -1,0 +1,370 @@
+// Golden gate for the frame-path kernels. Every output of LzssEncode,
+// LzssDecode (on valid, truncated and bit-flipped streams), PngLikeEncode,
+// the RC4 keystream and Yv12ScaleToRgb over a fixed seeded corpus is folded
+// into an FNV-1a hash, and each hash is pinned. The pinned values were
+// recorded from the plain byte-at-a-time kernels, so any rewrite of those
+// kernels must reproduce every output byte to pass.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "src/codec/lzss.h"
+#include "src/codec/pnglike.h"
+#include "src/codec/rc4.h"
+#include "src/raster/yuv.h"
+#include "src/util/prng.h"
+#include "src/workload/video.h"
+
+namespace thinc {
+namespace {
+
+// FNV-1a over everything folded in; lengths and flags are folded as bytes
+// too, so a boundary shift between two outputs changes the hash.
+class Fnv {
+ public:
+  void Bytes(std::span<const uint8_t> data) {
+    for (uint8_t b : data) {
+      Byte(b);
+    }
+  }
+  void U64(uint64_t v) {
+    for (int k = 0; k < 8; ++k) {
+      Byte(static_cast<uint8_t>(v >> (8 * k)));
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  void Byte(uint8_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001B3ULL;
+  }
+  uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llXULL", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+#define EXPECT_GOLDEN(actual, expected) \
+  EXPECT_EQ(Hex(actual), Hex(expected)) << "golden hash of " #actual
+
+std::span<const uint8_t> AsBytes(std::span<const Pixel> px) {
+  return {reinterpret_cast<const uint8_t*>(px.data()), px.size() * sizeof(Pixel)};
+}
+
+// --- Corpus ----------------------------------------------------------------------
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Prng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return out;
+}
+
+// Runs of one 4-byte pixel from a small palette, like flat UI content.
+std::vector<uint8_t> PixelRuns(size_t n) {
+  Prng rng(17);
+  const Pixel palette[] = {0xFFFFFFFF, 0xFF000000, 0xFFECECF0, 0xFF3366CC,
+                           0xFFCC3333, 0xFF808080, 0xFF1A1A1A, 0xFFF0E68C};
+  std::vector<uint8_t> out;
+  out.reserve(n + 4 * 64);
+  while (out.size() < n) {
+    Pixel p = palette[rng.NextBelow(8)];
+    int64_t run = rng.NextInRange(1, 40);
+    for (int64_t k = 0; k < run; ++k) {
+      for (int b = 0; b < 4; ++b) {
+        out.push_back(static_cast<uint8_t>(p >> (8 * b)));
+      }
+    }
+  }
+  out.resize(n);
+  return out;
+}
+
+// A random 4096-byte row repeated with a few mutations per copy: the only
+// long matches sit at exactly the window distance.
+std::vector<uint8_t> StrideRows(size_t n) {
+  Prng rng(29);
+  std::vector<uint8_t> row = RandomBytes(4096, 31);
+  std::vector<uint8_t> out;
+  out.reserve(n + row.size());
+  while (out.size() < n) {
+    for (int k = 0; k < 24; ++k) {
+      row[rng.NextBelow(row.size())] = static_cast<uint8_t>(rng.Next());
+    }
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  out.resize(n);
+  return out;
+}
+
+// The A/V path's input: one paper-clip frame scaled to a 1024x768 screen.
+Surface UpscaledVideoFrame() {
+  return Yv12ScaleToRgb(VideoSource::FrameContent(5, 352, 240), 1024, 768);
+}
+
+std::vector<uint8_t> VideoBytes(size_t n) {
+  Surface frame = UpscaledVideoFrame();
+  std::span<const uint8_t> all = AsBytes(frame.pixels());
+  return std::vector<uint8_t>(all.begin(), all.begin() + std::min(n, all.size()));
+}
+
+Yv12Frame RandomFrame(int32_t w, int32_t h, uint64_t seed) {
+  Yv12Frame f = Yv12Frame::Allocate(w, h);
+  Prng rng(seed);
+  for (std::vector<uint8_t>* plane : {&f.y, &f.v, &f.u}) {
+    for (uint8_t& b : *plane) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+  }
+  return f;
+}
+
+constexpr size_t kLzssSizes[] = {0, 1, 2, 3, 17, 4095, 4096, 4097, 8191, 8192, 8193, 70000};
+
+// Encodes every prefix size of `make`'s content, checks the round trip, and
+// returns the hash of all encodings.
+template <typename Make>
+uint64_t LzssEncodeHash(Make make) {
+  Fnv fnv;
+  for (size_t n : kLzssSizes) {
+    std::vector<uint8_t> in = make(n);
+    std::vector<uint8_t> enc = LzssEncode(in);
+    std::vector<uint8_t> dec;
+    EXPECT_TRUE(LzssDecode(enc, &dec)) << "size " << n;
+    EXPECT_EQ(dec, in) << "size " << n;
+    fnv.U64(n);
+    fnv.U64(enc.size());
+    fnv.Bytes(enc);
+  }
+  return fnv.value();
+}
+
+// --- LZSS encode -------------------------------------------------------------------
+
+TEST(CodecGoldenLzssEncode, Random) {
+  EXPECT_GOLDEN(LzssEncodeHash([](size_t n) { return RandomBytes(n, 3); }), 0x57C3B24AA5CDBD4DULL);
+}
+
+TEST(CodecGoldenLzssEncode, Flat) {
+  EXPECT_GOLDEN(LzssEncodeHash([](size_t n) { return std::vector<uint8_t>(n, 0xA5); }),
+                0xFC18E648F84812B7ULL);
+}
+
+TEST(CodecGoldenLzssEncode, PixelRuns) {
+  EXPECT_GOLDEN(LzssEncodeHash(PixelRuns), 0xB63AC8868BFA78F9ULL);
+}
+
+TEST(CodecGoldenLzssEncode, RowsAtWindowStride) {
+  EXPECT_GOLDEN(LzssEncodeHash(StrideRows), 0x770D840A00C1DE8AULL);
+}
+
+TEST(CodecGoldenLzssEncode, UpscaledVideoFramePrefixes) {
+  EXPECT_GOLDEN(LzssEncodeHash(VideoBytes), 0xCFD28FA398B90873ULL);
+}
+
+TEST(CodecGoldenLzssEncode, UpscaledVideoFrameWhole) {
+  Surface frame = UpscaledVideoFrame();
+  std::span<const uint8_t> in = AsBytes(frame.pixels());
+  std::vector<uint8_t> enc = LzssEncode(in);
+  std::vector<uint8_t> dec;
+  ASSERT_TRUE(LzssDecode(enc, &dec));
+  EXPECT_TRUE(std::equal(dec.begin(), dec.end(), in.begin(), in.end()));
+  Fnv fnv;
+  fnv.U64(enc.size());
+  fnv.Bytes(enc);
+  EXPECT_GOLDEN(fnv.value(), 0xAD5CB05AB719D27EULL);
+}
+
+// --- LZSS decode on damaged streams --------------------------------------------------
+
+// Decodes `stream` into an output that starts non-empty, and folds the
+// verdict plus the whole (possibly partial) output.
+void FoldDecode(std::span<const uint8_t> stream, Fnv* fnv) {
+  std::vector<uint8_t> out(7, 0xEE);
+  bool ok = LzssDecode(stream, &out);
+  fnv->U64(ok ? 1 : 0);
+  fnv->U64(out.size());
+  fnv->Bytes(out);
+}
+
+std::vector<uint8_t> MixedStream() {
+  // Literals, short and long matches, and overlapping dist<len matches.
+  std::vector<uint8_t> in = PixelRuns(900);
+  std::vector<uint8_t> noise = RandomBytes(120, 8);
+  in.insert(in.begin() + 300, noise.begin(), noise.end());
+  in.insert(in.end(), 60, 0x00);
+  return LzssEncode(in);
+}
+
+TEST(CodecGoldenLzssDecode, EveryTruncation) {
+  std::vector<uint8_t> enc = MixedStream();
+  Fnv fnv;
+  for (size_t len = 0; len <= enc.size(); ++len) {
+    FoldDecode(std::span<const uint8_t>(enc).first(len), &fnv);
+  }
+  EXPECT_GOLDEN(fnv.value(), 0xADDD5215364F4082ULL);
+}
+
+TEST(CodecGoldenLzssDecode, TruncatedVideoStream) {
+  std::vector<uint8_t> enc = LzssEncode(VideoBytes(70000));
+  Fnv fnv;
+  for (size_t k = 0; k <= 96; ++k) {
+    FoldDecode(std::span<const uint8_t>(enc).first(enc.size() * k / 96), &fnv);
+  }
+  EXPECT_GOLDEN(fnv.value(), 0x5B944534A4579D3BULL);
+}
+
+TEST(CodecGoldenLzssDecode, BitFlips) {
+  Fnv fnv;
+  for (std::vector<uint8_t> enc : {MixedStream(), LzssEncode(StrideRows(8193))}) {
+    Prng rng(41);
+    for (int k = 0; k < 256; ++k) {
+      size_t at = rng.NextBelow(enc.size());
+      uint8_t mask = static_cast<uint8_t>(1u << rng.NextBelow(8));
+      enc[at] ^= mask;
+      FoldDecode(enc, &fnv);
+      enc[at] ^= mask;
+    }
+  }
+  EXPECT_GOLDEN(fnv.value(), 0x87FA8B80B1C3F343ULL);
+}
+
+TEST(CodecGoldenLzssDecode, HandMadeStreams) {
+  const std::vector<std::vector<uint8_t>> streams = {
+      {},
+      {0x00},                                    // flag byte with no tokens
+      {0x01, 0xFF, 0xFF},                        // match before the output start
+      {0x00, 'a', 'b'},                          // literals only
+      {0x02, 'a', 0x00},                         // match cut after one byte
+      {0x02, 'a', 0x00, 0xF0},                   // dist 1, len 18: overlapping
+      {0x06, 'a', 0x00, 0x00, 0x09, 0x10, 'z'},  // second match too far back
+      {0xFE, 'x', 0x00, 0x10, 0x00, 0x20, 0x00, 0x30, 0x00, 0x40, 0x00, 0x50,
+       0x00, 0x60, 0x00, 0x70, 0x00, 'y'},
+  };
+  Fnv fnv;
+  for (const std::vector<uint8_t>& s : streams) {
+    FoldDecode(s, &fnv);
+  }
+  EXPECT_GOLDEN(fnv.value(), 0xCE599E9527FC7963ULL);
+}
+
+// --- PNG-like ----------------------------------------------------------------------------
+
+std::vector<Pixel> ScreenLike(int32_t w, int32_t h, uint64_t seed) {
+  // Flat band, gradient band, noise band.
+  Prng rng(seed);
+  std::vector<Pixel> px(static_cast<size_t>(w) * h);
+  for (int32_t y = 0; y < h; ++y) {
+    for (int32_t x = 0; x < w; ++x) {
+      Pixel p;
+      if (y < h / 3) {
+        p = MakePixel(236, 236, 240);
+      } else if (y < 2 * h / 3) {
+        p = MakePixel(static_cast<uint8_t>(x * 3), 90, static_cast<uint8_t>(y * 5));
+      } else {
+        p = static_cast<Pixel>(rng.Next()) | 0xFF000000;
+      }
+      px[static_cast<size_t>(y) * w + x] = p;
+    }
+  }
+  return px;
+}
+
+std::vector<Pixel> Crop(const Surface& s, int32_t x0, int32_t y0, int32_t w, int32_t h) {
+  std::vector<Pixel> px;
+  for (int32_t y = y0; y < y0 + h; ++y) {
+    std::span<const Pixel> row = s.row(y);
+    px.insert(px.end(), row.begin() + x0, row.begin() + x0 + w);
+  }
+  return px;
+}
+
+TEST(CodecGoldenPngLike, Images) {
+  struct Image {
+    int32_t w, h;
+    std::vector<Pixel> px;
+  };
+  std::vector<Image> images;
+  const int32_t sizes[][2] = {{1, 1}, {2, 1}, {3, 1}, {1, 4}, {7, 5},
+                              {33, 17}, {64, 64}, {256, 64}, {1024, 8}};
+  for (const auto& s : sizes) {
+    images.push_back({s[0], s[1], ScreenLike(s[0], s[1], 11)});
+    std::vector<uint8_t> noise = RandomBytes(static_cast<size_t>(s[0]) * s[1] * 4, 12);
+    std::vector<Pixel> px(static_cast<size_t>(s[0]) * s[1]);
+    std::memcpy(px.data(), noise.data(), noise.size());
+    images.push_back({s[0], s[1], px});
+  }
+  images.push_back({48, 16, std::vector<Pixel>(48 * 16, 0)});
+  images.push_back({48, 16, std::vector<Pixel>(48 * 16, MakePixel(200, 10, 30))});
+  Surface video = UpscaledVideoFrame();
+  images.push_back({256, 256, Crop(video, 300, 200, 256, 256)});
+  images.push_back({1024, 96, Crop(video, 0, 400, 1024, 96)});
+  Fnv fnv;
+  for (const Image& im : images) {
+    std::vector<uint8_t> enc = PngLikeEncode(im.px, im.w, im.h);
+    std::vector<Pixel> dec;
+    EXPECT_TRUE(PngLikeDecode(enc, im.w, im.h, &dec));
+    EXPECT_EQ(dec, im.px) << im.w << "x" << im.h;
+    fnv.U64(enc.size());
+    fnv.Bytes(enc);
+  }
+  EXPECT_GOLDEN(fnv.value(), 0xF9D3DFAE2FE39780ULL);
+}
+
+// --- RC4 ---------------------------------------------------------------------------------------
+
+TEST(CodecGoldenRc4, KeystreamAcrossSplitCalls) {
+  const std::vector<uint8_t> in = RandomBytes(70000, 5);
+  const size_t chunks[] = {1, 2, 3, 5, 8, 13, 64, 255, 256, 257, 1000, 4096};
+  Fnv fnv;
+  for (const std::vector<uint8_t>& key :
+       {RandomBytes(16, 6), RandomBytes(256, 7), std::vector<uint8_t>{0x42}}) {
+    Rc4Cipher c(key);
+    std::vector<uint8_t> out(in.size());
+    size_t at = 0;
+    for (size_t k = 0; at < in.size(); ++k) {
+      size_t n = std::min(chunks[k % std::size(chunks)], in.size() - at);
+      c.Process(std::span<const uint8_t>(in).subspan(at, n),
+                std::span<uint8_t>(out).subspan(at, n));
+      at += n;
+      if (k % 5 == 0) {
+        fnv.U64(c.NextKeystreamByte());
+      }
+    }
+    fnv.Bytes(out);
+    // In place, and through the allocating overload.
+    c.Process(out, out);
+    fnv.Bytes(out);
+    fnv.Bytes(c.Process(in));
+  }
+  EXPECT_GOLDEN(fnv.value(), 0x265218BF86881F07ULL);
+}
+
+// --- YV12 scaling ---------------------------------------------------------------------------
+
+TEST(CodecGoldenYuv, ScaleToRgb) {
+  const int32_t sizes[][2] = {{1024, 768}, {320, 240}, {110, 75}, {13, 11}, {1, 1}, {700, 3}};
+  Fnv fnv;
+  for (const Yv12Frame& f : {RandomFrame(352, 240, 9), VideoSource::FrameContent(17, 352, 240),
+                             RandomFrame(3, 5, 10)}) {
+    for (const auto& s : sizes) {
+      fnv.U64(Yv12ScaleToRgb(f, s[0], s[1]).ContentHash());
+    }
+    fnv.U64(Yv12ToRgb(f).ContentHash());
+  }
+  EXPECT_GOLDEN(fnv.value(), 0xCDC5C96CC05D512EULL);
+}
+
+}  // namespace
+}  // namespace thinc
