@@ -23,6 +23,7 @@
 #include "src/util/logging.h"
 #include "src/util/prng.h"
 #include "src/util/region.h"
+#include "src/workload/video.h"
 #include "src/workload/web.h"
 
 namespace thinc {
@@ -72,6 +73,39 @@ void BM_LzssEncode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes.size());
 }
 BENCHMARK(BM_LzssEncode);
+
+// A paper-clip frame scaled to a 1024x768 screen: what the video-unaware
+// baselines compress on the A/V path.
+Surface UpscaledVideoFrame() {
+  return Yv12ScaleToRgb(VideoSource::FrameContent(7, 352, 240), 1024, 768);
+}
+
+void BM_LzssEncodeVideoFrame(benchmark::State& state) {
+  Surface frame = UpscaledVideoFrame();
+  std::span<const uint8_t> bytes(reinterpret_cast<const uint8_t*>(frame.pixels().data()),
+                                 frame.pixels().size() * 4);
+  for (auto _ : state) {
+    std::vector<uint8_t> enc = LzssEncode(bytes);
+    benchmark::DoNotOptimize(enc.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes.size());
+}
+BENCHMARK(BM_LzssEncodeVideoFrame);
+
+void BM_LzssDecode(benchmark::State& state) {
+  std::vector<Pixel> px = ScreenLikePixels(256, 256);
+  std::span<const uint8_t> bytes(reinterpret_cast<const uint8_t*>(px.data()),
+                                 px.size() * 4);
+  std::vector<uint8_t> enc = LzssEncode(bytes);
+  for (auto _ : state) {
+    std::vector<uint8_t> dec;
+    bool ok = LzssDecode(enc, &dec);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(dec.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes.size());
+}
+BENCHMARK(BM_LzssDecode);
 
 void BM_PngLikeEncode(benchmark::State& state) {
   std::vector<Pixel> px = ScreenLikePixels(256, 256);
@@ -309,7 +343,7 @@ void BM_FantDownscale(benchmark::State& state) {
 BENCHMARK(BM_FantDownscale);
 
 void BM_YuvFrameToRgbFullScreen(benchmark::State& state) {
-  Yv12Frame frame = Yv12Frame::Allocate(352, 240);
+  Yv12Frame frame = VideoSource::FrameContent(7, 352, 240);
   for (auto _ : state) {
     Surface out = Yv12ScaleToRgb(frame, 1024, 768);
     benchmark::DoNotOptimize(out.At(0, 0));

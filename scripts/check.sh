@@ -5,8 +5,7 @@
 #   1. Configure+build the `default` preset and run the full test suite
 #      (the tier-1 bar: everything must pass).
 #   2. Configure+build the `sanitize` preset (ASan+UBSan, build-asan/) and
-#      run the buffer, command, command-queue, session-sharing, and
-#      connection tests under the sanitizers.
+#      run the full test suite under the sanitizers.
 #
 # Usage: scripts/check.sh [--sanitize-only | --tier1-only]
 set -euo pipefail
@@ -21,11 +20,6 @@ case "${1:-}" in
   "") ;;
   *) echo "usage: scripts/check.sh [--sanitize-only | --tier1-only]" >&2; exit 2 ;;
 esac
-
-# Tests exercising the zero-copy buffer architecture end to end: buffer
-# primitives, command encode caches, offscreen queue-copy CoW, shared-session
-# frame reuse, and the segment-queue send path.
-SANITIZE_FILTER='Buffer|Command|Connection|SessionShare|ExtractForCopy|Wire|Server|Stress|Fleet|Transport|Loopback|Relay|Cluster|Codec|Delta|Adapt|Device|Lossy|Trace'
 
 if [[ "$RUN_TIER1" == 1 ]]; then
   echo "== tier-1: default preset build + full ctest =="
@@ -82,10 +76,10 @@ if [[ "$RUN_TIER1" == 1 ]]; then
 fi
 
 if [[ "$RUN_SANITIZE" == 1 ]]; then
-  echo "== sanitize: ASan+UBSan over buffer/command/connection tests =="
+  echo "== sanitize: ASan+UBSan over the full test suite =="
   cmake --preset sanitize >/dev/null
   cmake --build --preset sanitize -j "$JOBS"
-  ctest --preset sanitize -R "$SANITIZE_FILTER"
+  ctest --preset sanitize
 fi
 
 echo "check.sh: all gates passed"

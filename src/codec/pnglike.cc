@@ -34,34 +34,72 @@ uint8_t PaethPredictor(uint8_t a, uint8_t b, uint8_t c) {
   return c;
 }
 
-// Applies `filter` to `row` (length n), with `prior` being the unfiltered
-// previous row (nullptr for the first row). Output written to `out`.
-void FilterRow(Filter filter, const uint8_t* row, const uint8_t* prior, size_t n,
-               uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    uint8_t a = i >= kBpp ? row[i - kBpp] : 0;
-    uint8_t b = prior != nullptr ? prior[i] : 0;
-    uint8_t c = (prior != nullptr && i >= kBpp) ? prior[i - kBpp] : 0;
-    uint8_t pred = 0;
-    switch (filter) {
-      case kNone:
-        pred = 0;
-        break;
-      case kSub:
-        pred = a;
-        break;
-      case kUp:
-        pred = b;
-        break;
-      case kAverage:
-        pred = static_cast<uint8_t>((a + b) / 2);
-        break;
-      case kPaeth:
-        pred = PaethPredictor(a, b, c);
-        break;
-    }
-    out[i] = static_cast<uint8_t>(row[i] - pred);
+// Filter F's prediction from the left (a), up (b) and upper-left (c) bytes.
+template <Filter F>
+uint8_t Predict(uint8_t a, uint8_t b, uint8_t c) {
+  if constexpr (F == kNone) {
+    return 0;
+  } else if constexpr (F == kSub) {
+    return a;
+  } else if constexpr (F == kUp) {
+    return b;
+  } else if constexpr (F == kAverage) {
+    return static_cast<uint8_t>((a + b) / 2);
+  } else {
+    return PaethPredictor(a, b, c);
   }
+}
+
+// |residual| with the residual read as a signed byte, as the PNG heuristic
+// scores filters.
+uint32_t AbsResidual(uint8_t r) {
+  return static_cast<uint32_t>(std::abs(static_cast<int>(static_cast<int8_t>(r))));
+}
+
+// Bytes scored between checks of the running sum against the limit.
+constexpr size_t kScoreChunk = 128;
+
+// Applies filter F to `row` (length n) into `out`, with `prior` the
+// unfiltered previous row (all zeros for the first row), and returns the
+// sum of |residual|. Once the running sum reaches `limit` it stops and
+// returns it: sums only grow, so under the strict < selection the filter
+// can no longer win.
+template <Filter F>
+uint64_t FilterRowScored(const uint8_t* row, const uint8_t* prior, size_t n, uint64_t limit,
+                         uint8_t* out) {
+  uint64_t sum = 0;
+  const size_t lead = std::min<size_t>(n, kBpp);
+  for (size_t i = 0; i < lead; ++i) {
+    out[i] = static_cast<uint8_t>(row[i] - Predict<F>(0, prior[i], 0));
+    sum += AbsResidual(out[i]);
+  }
+  for (size_t start = lead; start < n && sum < limit; start += kScoreChunk) {
+    const size_t stop = std::min(n, start + kScoreChunk);
+    uint32_t chunk = 0;
+    for (size_t i = start; i < stop; ++i) {
+      out[i] = static_cast<uint8_t>(row[i] - Predict<F>(row[i - kBpp], prior[i], prior[i - kBpp]));
+      chunk += AbsResidual(out[i]);
+    }
+    sum += chunk;
+  }
+  return sum;
+}
+
+uint64_t FilterRow(Filter filter, const uint8_t* row, const uint8_t* prior, size_t n,
+                   uint64_t limit, uint8_t* out) {
+  switch (filter) {
+    case kNone:
+      return FilterRowScored<kNone>(row, prior, n, limit, out);
+    case kSub:
+      return FilterRowScored<kSub>(row, prior, n, limit, out);
+    case kUp:
+      return FilterRowScored<kUp>(row, prior, n, limit, out);
+    case kAverage:
+      return FilterRowScored<kAverage>(row, prior, n, limit, out);
+    case kPaeth:
+      return FilterRowScored<kPaeth>(row, prior, n, limit, out);
+  }
+  return limit;
 }
 
 void UnfilterRow(Filter filter, uint8_t* row, const uint8_t* prior, size_t n) {
@@ -91,43 +129,34 @@ void UnfilterRow(Filter filter, uint8_t* row, const uint8_t* prior, size_t n) {
   }
 }
 
-uint64_t SumAbs(const uint8_t* data, size_t n) {
-  uint64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    // Interpret filtered bytes as signed deltas, as the PNG heuristic does.
-    int8_t s = static_cast<int8_t>(data[i]);
-    sum += static_cast<uint64_t>(std::abs(static_cast<int>(s)));
-  }
-  return sum;
-}
-
 }  // namespace
 
 std::vector<uint8_t> PngLikeEncode(std::span<const Pixel> pixels, int32_t width,
                                    int32_t height) {
   const size_t row_bytes = static_cast<size_t>(width) * kBpp;
-  std::vector<uint8_t> filtered;
-  filtered.reserve((row_bytes + 1) * height);
+  std::vector<uint8_t> filtered((row_bytes + 1) * height);
   std::vector<uint8_t> trial(row_bytes);
   std::vector<uint8_t> best(row_bytes);
+  // PNG defines the first row's prior as zeros.
+  const std::vector<uint8_t> zeros(row_bytes, 0);
 
   const uint8_t* raw = reinterpret_cast<const uint8_t*>(pixels.data());
   for (int32_t y = 0; y < height; ++y) {
     const uint8_t* row = raw + static_cast<size_t>(y) * row_bytes;
-    const uint8_t* prior = y > 0 ? raw + static_cast<size_t>(y - 1) * row_bytes : nullptr;
+    const uint8_t* prior = y > 0 ? row - row_bytes : zeros.data();
     Filter best_filter = kNone;
     uint64_t best_score = UINT64_MAX;
     for (Filter f : {kNone, kSub, kUp, kAverage, kPaeth}) {
-      FilterRow(f, row, prior, row_bytes, trial.data());
-      uint64_t score = SumAbs(trial.data(), row_bytes);
+      const uint64_t score = FilterRow(f, row, prior, row_bytes, best_score, trial.data());
       if (score < best_score) {
         best_score = score;
         best_filter = f;
         std::swap(trial, best);
       }
     }
-    filtered.push_back(static_cast<uint8_t>(best_filter));
-    filtered.insert(filtered.end(), best.begin(), best.end());
+    uint8_t* dst = filtered.data() + static_cast<size_t>(y) * (row_bytes + 1);
+    dst[0] = static_cast<uint8_t>(best_filter);
+    std::copy(best.begin(), best.end(), dst + 1);
   }
   // RLE collapses the long zero runs the filters produce on flat content
   // (LZSS alone is limited by its 18-byte match cap); LZSS then handles the

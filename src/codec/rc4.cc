@@ -28,9 +28,25 @@ uint8_t Rc4Cipher::NextKeystreamByte() {
 
 void Rc4Cipher::Process(std::span<const uint8_t> in, std::span<uint8_t> out) {
   THINC_CHECK(out.size() >= in.size());
+  // The PRGA runs on local copies: every out[k] store is a uint8_t write
+  // that may alias the members, which would force reloading i_ and j_ on
+  // every byte.
+  uint8_t* const s = s_;
+  uint8_t i = i_;
+  uint8_t j = j_;
+  const uint8_t* src = in.data();
+  uint8_t* dst = out.data();
   for (size_t k = 0; k < in.size(); ++k) {
-    out[k] = in[k] ^ NextKeystreamByte();
+    i = static_cast<uint8_t>(i + 1);
+    const uint8_t si = s[i];
+    j = static_cast<uint8_t>(j + si);
+    const uint8_t sj = s[j];
+    s[i] = sj;
+    s[j] = si;
+    dst[k] = src[k] ^ s[static_cast<uint8_t>(si + sj)];
   }
+  i_ = i;
+  j_ = j;
 }
 
 std::vector<uint8_t> Rc4Cipher::Process(std::span<const uint8_t> in) {

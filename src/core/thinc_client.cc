@@ -246,12 +246,9 @@ void ThincClient::HandleFrame(uint8_t type, std::span<const uint8_t> payload) {
       // effectively free; charge only the data shuffle.
       ChargeAndStamp(0.001 * static_cast<double>(planes.size()));
       if (!options_.headless) {
-        Yv12Frame frame = Yv12Frame::Unpack(w, h, planes);
-        Rect dst = it->second.dst.Intersect(framebuffer_.bounds());
-        if (!dst.empty()) {
-          Surface rgb = Yv12ScaleToRgb(frame, dst.width, dst.height);
-          framebuffer_.PutPixels(dst, rgb.pixels());
-        }
+        // Scale to the stream's whole destination, then clip to the screen,
+        // as the server's reference screen does.
+        Yv12ScaleInto(Yv12Frame::Unpack(w, h, planes), it->second.dst, &framebuffer_);
       }
       video_frames_.push_back(VideoFrameArrival{id, loop_->now(), server_ts});
       pull_outstanding_ = false;

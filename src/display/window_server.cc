@@ -212,8 +212,7 @@ void WindowServer::VideoFrame(int32_t stream_id, const Yv12Frame& frame) {
   if (stream.driver_stream >= 0) {
     // Hardware path: the driver owns conversion and scaling. Keep the
     // reference screen in sync so fidelity checks still apply.
-    Surface rgb = Yv12ScaleToRgb(frame, stream.dst.width, stream.dst.height);
-    MutableSurfaceOf(kScreenDrawable).PutPixels(stream.dst, rgb.pixels());
+    Yv12ScaleInto(frame, stream.dst, &MutableSurfaceOf(kScreenDrawable));
     driver_->OnVideoFrame(stream.driver_stream, frame);
     return;
   }

@@ -41,6 +41,9 @@ class Surface {
     return {pixels_.data() + static_cast<size_t>(y) * width_,
             static_cast<size_t>(width_)};
   }
+  std::span<Pixel> mutable_row(int32_t y) {
+    return {pixels_.data() + static_cast<size_t>(y) * width_, static_cast<size_t>(width_)};
+  }
   std::span<const Pixel> pixels() const { return pixels_; }
 
   // --- Fill operations -----------------------------------------------------

@@ -129,19 +129,56 @@ Surface Yv12ToRgb(const Yv12Frame& frame) {
 Surface Yv12ScaleToRgb(const Yv12Frame& frame, int32_t dst_width, int32_t dst_height) {
   THINC_CHECK(dst_width > 0 && dst_height > 0);
   Surface out(dst_width, dst_height);
-  int32_t cw = frame.width / 2;
-  for (int32_t dy = 0; dy < dst_height; ++dy) {
-    int32_t sy = static_cast<int32_t>(static_cast<int64_t>(dy) * frame.height /
-                                      dst_height);
-    for (int32_t dx = 0; dx < dst_width; ++dx) {
-      int32_t sx = static_cast<int32_t>(static_cast<int64_t>(dx) * frame.width /
-                                        dst_width);
-      uint8_t y = frame.y[static_cast<size_t>(sy) * frame.width + sx];
-      size_t ci = static_cast<size_t>(sy / 2) * cw + sx / 2;
-      out.Put(dx, dy, YuvToRgb(y, frame.u[ci], frame.v[ci]));
+  Yv12ScaleInto(frame, out.bounds(), &out);
+  return out;
+}
+
+void Yv12ScaleInto(const Yv12Frame& frame, const Rect& dst, Surface* surface) {
+  const Rect clip = dst.Intersect(surface->bounds());
+  if (clip.empty()) {
+    return;
+  }
+  // Destination column dx samples source column dx * width / dst.width.
+  // Adjacent columns that sample the same source column form a run, so each
+  // sampled source pixel is converted once per row.
+  struct Run {
+    int32_t sx;
+    int32_t len;
+  };
+  std::vector<Run> runs;
+  for (int32_t dx = clip.x - dst.x; dx < clip.right() - dst.x; ++dx) {
+    const int32_t sx =
+        static_cast<int32_t>(static_cast<int64_t>(dx) * frame.width / dst.width);
+    if (!runs.empty() && runs.back().sx == sx) {
+      ++runs.back().len;
+    } else {
+      runs.push_back(Run{sx, 1});
     }
   }
-  return out;
+  const int32_t cw = frame.width / 2;
+  const size_t row_bytes = static_cast<size_t>(clip.width) * sizeof(Pixel);
+  int32_t prev_sy = -1;
+  const Pixel* prev_row = nullptr;
+  for (int32_t y = clip.y; y < clip.bottom(); ++y) {
+    Pixel* out = surface->mutable_row(y).data() + clip.x;
+    const int32_t sy = static_cast<int32_t>(static_cast<int64_t>(y - dst.y) * frame.height /
+                                            dst.height);
+    if (sy == prev_sy) {
+      // Upscaling repeats source rows: copy the row already converted.
+      std::memcpy(out, prev_row, row_bytes);
+      continue;
+    }
+    const uint8_t* luma = frame.y.data() + static_cast<size_t>(sy) * frame.width;
+    const size_t chroma = static_cast<size_t>(sy / 2) * cw;
+    const uint8_t* u = frame.u.data() + chroma;
+    const uint8_t* v = frame.v.data() + chroma;
+    Pixel* p = out;
+    for (const Run& r : runs) {
+      p = std::fill_n(p, r.len, YuvToRgb(luma[r.sx], u[r.sx / 2], v[r.sx / 2]));
+    }
+    prev_sy = sy;
+    prev_row = out;
+  }
 }
 
 Yv12Frame Yv12Downscale(const Yv12Frame& frame, int32_t dst_width, int32_t dst_height) {

@@ -43,11 +43,16 @@ Yv12Frame RgbToYv12(const Surface& rgb);
 // Converts a YV12 frame to RGB at the frame's native size.
 Surface Yv12ToRgb(const Yv12Frame& frame);
 
-// Models the client's hardware overlay: converts and bilinearly scales the
-// frame to `dst_width` x `dst_height` in one pass. Scaling is free on real
-// overlay hardware, which is why full-screen playback costs no extra
-// bandwidth in THINC.
+// Models the client's hardware overlay: converts the frame and scales it to
+// `dst_width` x `dst_height` in one pass, sampling the nearest source pixel.
+// Scaling is free on real overlay hardware, which is why full-screen
+// playback costs no extra bandwidth in THINC.
 Surface Yv12ScaleToRgb(const Yv12Frame& frame, int32_t dst_width, int32_t dst_height);
+
+// The same conversion written straight into `dst` on `surface`, clipped to
+// the surface: exactly the pixels PutPixels(dst, Yv12ScaleToRgb(frame,
+// dst.width, dst.height)) would leave, without the intermediate image.
+void Yv12ScaleInto(const Yv12Frame& frame, const Rect& dst, Surface* surface);
 
 // Server-side downscale of a YV12 frame (used for small-screen clients so
 // video bandwidth shrinks with the viewport, Section 8.3). Box-filters each

@@ -267,6 +267,26 @@ TEST(ThincSystemTest, VideoStreamDeliversAllFrames) {
   EXPECT_GT(sys.BytesToClient(), expected - expected / 10);
 }
 
+TEST(ThincSystemTest, PartlyOffscreenVideoMatchesServerScreen) {
+  // The client scales each frame to the stream's whole destination and then
+  // clips, as the server's reference screen does.
+  for (Rect dst : {Rect{0, 0, 352, 288}, Rect{176, 0, 352, 288}, Rect{-100, -50, 352, 288}}) {
+    EventLoop loop;
+    ThincSystem sys(&loop, LanDesktopLink(), 352, 288);
+    VideoSourceOptions vo;
+    vo.width = 176;
+    vo.height = 144;
+    vo.duration = kSecond / 4;
+    vo.dst = dst;
+    VideoSource video(&loop, sys.api(), sys.app_cpu(), vo);
+    video.Start();
+    loop.Run();
+    int64_t diff = -1;
+    sys.window_server()->screen().Equals(*sys.ClientFramebuffer(), &diff);
+    EXPECT_EQ(diff, 0) << dst.ToString();
+  }
+}
+
 TEST(ThincSystemTest, VideoFramesDropWhenLinkTooSlow) {
   EventLoop loop;
   LinkParams slow{2'000'000, 1'000, 1 << 20, "slow"};  // 0.25 MB/s
