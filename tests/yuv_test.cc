@@ -87,6 +87,24 @@ TEST(YuvTest, ScaleConstantFrameStaysConstant) {
   EXPECT_EQ(corner, center);
 }
 
+TEST(YuvTest, ScaleIntoMatchesClippedScaledImage) {
+  Yv12Frame f = Yv12Frame::Allocate(44, 30);
+  Prng rng(3);
+  for (std::vector<uint8_t>* plane : {&f.y, &f.u, &f.v}) {
+    for (uint8_t& b : *plane) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+  }
+  for (Rect dst : {Rect{0, 0, 64, 48}, Rect{20, 10, 64, 48}, Rect{-13, -7, 64, 48},
+                   Rect{-5, 3, 17, 90}, Rect{70, 0, 10, 10}}) {
+    Surface expected(64, 48, kWhite);
+    expected.PutPixels(dst, Yv12ScaleToRgb(f, dst.width, dst.height).pixels());
+    Surface actual(64, 48, kWhite);
+    Yv12ScaleInto(f, dst, &actual);
+    EXPECT_TRUE(actual.Equals(expected)) << dst.ToString();
+  }
+}
+
 TEST(YuvTest, DownscaleHalvesPlanes) {
   Yv12Frame f = Yv12Frame::Allocate(64, 48);
   Yv12Frame d = Yv12Downscale(f, 32, 24);
