@@ -468,8 +468,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Deterministic generators for the content classes thin-client traffic is
 // made of; every intra codec must round-trip each of them bit-exactly
-// (palette, the one lossy stage, is bounded instead).
-enum class TileKind { kText, kGradient, kScroll, kNoise };
+// (palette, the one lossy stage, is bounded instead). TileKind is 64-bit so
+// StructuredCase has no padding: gtest_discover_tests names each case after
+// the parameter's raw bytes, and uninitialised padding bytes made those test
+// names change from build to build.
+enum class TileKind : uint64_t { kText, kGradient, kScroll, kNoise };
 
 struct StructuredCase {
   TileKind kind;
