@@ -84,50 +84,6 @@ inline BufferStats BufferStatsDelta(const BufferStats& start,
   return d;
 }
 
-inline void PrintBufferStats(const char* label, const BufferStats& s) {
-  std::printf(
-      "%-12s allocs=%-8lld alloc_MB=%-7.1f memcpys=%-8lld copied_MB=%-7.1f\n"
-      "%-12s shares=%-8lld cow=%-5lld arena_reuse=%-5lld encodes=%-6lld "
-      "enc_hits=%lld peak_MB=%.1f\n",
-      label, static_cast<long long>(s.allocations),
-      static_cast<double>(s.allocated_bytes) / (1024.0 * 1024.0),
-      static_cast<long long>(s.copies),
-      static_cast<double>(s.copied_bytes) / (1024.0 * 1024.0), "",
-      static_cast<long long>(s.shares), static_cast<long long>(s.cow_detaches),
-      static_cast<long long>(s.arena_reuses),
-      static_cast<long long>(s.raw_encodes),
-      static_cast<long long>(s.payload_encode_hits + s.frame_cache_hits),
-      static_cast<double>(s.peak_payload_bytes) / (1024.0 * 1024.0));
-}
-
-// One `"name": {...}` JSON object for a stats delta (no trailing newline).
-inline void WriteBufferStatsJson(std::FILE* f, const char* name,
-                                 const BufferStats& s, double commands_per_sec) {
-  std::fprintf(
-      f,
-      "  \"%s\": {\n"
-      "    \"commands_per_sec\": %.0f,\n"
-      "    \"allocations\": %lld,\n"
-      "    \"allocated_bytes\": %lld,\n"
-      "    \"memcpy_calls\": %lld,\n"
-      "    \"memcpy_bytes\": %lld,\n"
-      "    \"shares\": %lld,\n"
-      "    \"cow_detaches\": %lld,\n"
-      "    \"arena_reuses\": %lld,\n"
-      "    \"raw_encodes\": %lld,\n"
-      "    \"encode_cache_hits\": %lld,\n"
-      "    \"peak_payload_bytes\": %lld\n"
-      "  }",
-      name, commands_per_sec, static_cast<long long>(s.allocations),
-      static_cast<long long>(s.allocated_bytes),
-      static_cast<long long>(s.copies), static_cast<long long>(s.copied_bytes),
-      static_cast<long long>(s.shares), static_cast<long long>(s.cow_detaches),
-      static_cast<long long>(s.arena_reuses),
-      static_cast<long long>(s.raw_encodes),
-      static_cast<long long>(s.payload_encode_hits + s.frame_cache_hits),
-      static_cast<long long>(s.peak_payload_bytes));
-}
-
 }  // namespace bench
 }  // namespace thinc
 

@@ -33,7 +33,7 @@ ThincSystem::ThincSystem(EventLoop* loop, const LinkParams& link,
   client_options.client_pull = !server_options.server_push;
   client_options.encrypt = server_options.encrypt;
   server_ = std::make_unique<ThincServer>(loop, conn_.get(), &server_cpu_,
-                                          server_options);
+                                          &payloads_, server_options);
   window_server_ = std::make_unique<WindowServer>(screen_width, screen_height,
                                                   server_.get(), &server_cpu_);
   server_->AttachWindowServer(window_server_.get());

@@ -108,6 +108,8 @@ class ThincSystem : public RemoteDisplaySystem {
 
   EventLoop* loop_;
   CpuAccount server_cpu_;
+  // The server host's payload pool (declared before server_, which uses it).
+  PayloadPool payloads_;
   CpuAccount client_cpu_;
   LinkParams link_;
   TransportKind transport_kind_;

@@ -193,6 +193,11 @@ class RawCommand : public Command {
   // pixels to a DeltaCommand without copying.
   PixelBuffer SharePayload() const { return pixels_.Share(); }
 
+  // Swaps the payload for a live one with identical pixels from `pool`, if
+  // any (PayloadPool::Intern). The pixels, and so every encoding, stay the
+  // same; only the encode cache consulted changes.
+  bool InternPayload(PayloadPool* pool) { return pool->Intern(&pixels_); }
+
   // Overload-ladder fidelity downshift (server-side scaling, Section 7's
   // resample machinery turned into a degradation knob): replaces the payload
   // with a box-downscaled (by `factor`) then pixel-replicated version of

@@ -201,8 +201,8 @@ SharedSessionHost::Viewer* SharedSessionHost::FinishViewer(
   // Per-viewer protocol work (translation, encode, encryption) runs on the
   // one shared host CPU — which is what bounds how many viewers one session
   // scales to.
-  viewer->server = std::make_unique<ThincServer>(loop_, viewer->conn.get(),
-                                                 &host_cpu_, server_options);
+  viewer->server = std::make_unique<ThincServer>(
+      loop_, viewer->conn.get(), &host_cpu_, &payloads_, server_options);
   viewer->server->AttachWindowServer(window_server_.get());
   viewer->client = std::make_unique<ThincClient>(
       loop_, viewer->conn.get(), client_cpu,

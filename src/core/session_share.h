@@ -136,6 +136,10 @@ class SharedSessionHost {
   // bytes and skip the encode CPU charge (~1 encode per frame regardless of
   // viewer count).
   ByteBufferCache frame_cache_;
+  // Payload pool shared by every viewer's server: viewers whose servers
+  // rebuild the same pixels separately (scanline merges, viewport pieces)
+  // share one payload and its encodes.
+  PayloadPool payloads_;
   std::unique_ptr<WindowServer> window_server_;
   std::vector<std::unique_ptr<Viewer>> viewers_;
   std::function<void(Point)> input_fn_;

@@ -42,8 +42,8 @@ constexpr SimTime kDegradedStarvationLimit = 300 * kMillisecond;
 }  // namespace
 
 ThincServer::ThincServer(EventLoop* loop, Transport* conn, CpuAccount* cpu,
-                         ThincServerOptions options)
-    : loop_(loop), conn_(conn), cpu_(cpu), options_(options),
+                         PayloadPool* payloads, ThincServerOptions options)
+    : loop_(loop), conn_(conn), cpu_(cpu), payloads_(payloads), options_(options),
       scheduler_(options.scheduler),
       codec_selector_(options.adapt, &net_estimator_) {
   if (options_.initial_degradation_level > 0) {
@@ -463,6 +463,7 @@ void ThincServer::InsertOutgoing(std::unique_ptr<Command> cmd) {
   }
   if (viewport_.has_value()) {
     for (auto& piece : ResizeForViewport(std::move(cmd))) {
+      InternPayload(piece.get());
       scheduler_.Insert(std::move(piece), loop_->now());
     }
     EnforceSchedulerCap();
@@ -480,6 +481,7 @@ void ThincServer::InsertOutgoing(std::unique_ptr<Command> cmd) {
   while (!pending.empty()) {
     std::unique_ptr<Command> next = std::move(pending.front());
     pending.pop_front();
+    InternPayload(next.get());
     const int planned = scheduler_.PlannedBand(*next, loop_->now());
     for (const Region& region :
          scheduler_.SplitCopiesReading(next->region(), planned)) {
@@ -498,6 +500,12 @@ void ThincServer::InsertOutgoing(std::unique_ptr<Command> cmd) {
   }
   EnforceSchedulerCap();
   ScheduleFlush(EffectiveFlushInterval());
+}
+
+void ThincServer::InternPayload(Command* cmd) {
+  if (cmd->type() == MsgType::kRaw) {
+    static_cast<RawCommand*>(cmd)->InternPayload(payloads_);
+  }
 }
 
 // --- Video -------------------------------------------------------------------
@@ -944,6 +952,7 @@ void ThincServer::Flush() {
       if (raw->SubsampleFidelity(options_.ladder.fidelity_subsample[degradation_level_])) {
         cpu_->Charge(static_cast<double>(raw->rect().area()) *
                      cpucost::kResamplePerPixel);
+        raw->InternPayload(payloads_);
       }
     }
     if (pending_->trace_id() != 0) {
@@ -1213,6 +1222,7 @@ void ThincServer::MaybeDeltaEncode() {
     // subsample rung (idempotent with it — SubsampleFidelity applies once).
     if (raw->SubsampleFidelity(2)) {
       cpu_->Charge(static_cast<double>(rect.area()) * cpucost::kResamplePerPixel);
+      raw->InternPayload(payloads_);
     }
   }
   const std::vector<Pixel> ref_slice = ref_screen_.GetPixels(rect);

@@ -135,8 +135,11 @@ struct ThincServerOptions {
 
 class ThincServer : public DisplayDriver {
  public:
+  // `cpu` and `payloads` belong to the session owner and are shared by every
+  // server it runs: the host CPU account, and the pool through which
+  // sessions showing the same pixels share payloads and their encodes.
   ThincServer(EventLoop* loop, Transport* conn, CpuAccount* cpu,
-              ThincServerOptions options = {});
+              PayloadPool* payloads, ThincServerOptions options = {});
 
   // The server reads reference framebuffer content from the window server
   // (residual RAW fallback and resize support). Must be called once.
@@ -229,9 +232,13 @@ class ThincServer : public DisplayDriver {
   // Migration delta budget in bytes (backlog_cap_framebuffers, floored at
   // one framebuffer).
   size_t MigrationDeltaBudgetBytes() const;
-  // Rebind the server's compute to another host's CpuAccount (migration;
-  // call before Attach() so no in-flight charge straddles hosts).
-  void RebindCpu(CpuAccount* cpu) { cpu_ = cpu; }
+  // Rebind the server to another host's CpuAccount and payload pool
+  // (migration; call before Attach() so no in-flight charge straddles
+  // hosts).
+  void RebindHost(CpuAccount* cpu, PayloadPool* payloads) {
+    cpu_ = cpu;
+    payloads_ = payloads;
+  }
 
   // --- Overload degradation (fleet) ------------------------------------------
   // Degradation ladder level 0 (full fidelity) .. kMaxDegradationLevel
@@ -305,6 +312,10 @@ class ThincServer : public DisplayDriver {
   void Emit(DrawableId dst, std::unique_ptr<Command> cmd);
   // Inserts into the scheduler, applying viewport resize first.
   void InsertOutgoing(std::unique_ptr<Command> cmd);
+  // Interns a RAW command's payload in the owner's pool. Must run before the
+  // command is first sized (the scheduler's size query encodes it) and
+  // again whenever its pixels change after insertion.
+  void InternPayload(Command* cmd);
   std::vector<std::unique_ptr<Command>> ResizeForViewport(std::unique_ptr<Command> cmd);
 
   // Wires receive/writable/closed callbacks to the current connection. The
@@ -366,6 +377,7 @@ class ThincServer : public DisplayDriver {
   EventLoop* loop_;
   Transport* conn_;
   CpuAccount* cpu_;
+  PayloadPool* payloads_;
   ThincServerOptions options_;
   WindowServer* window_server_ = nullptr;
 

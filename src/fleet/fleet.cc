@@ -126,7 +126,8 @@ FleetHost::Admission FleetHost::AddSession(const FleetSessionDemand& demand,
   client_options.telemetry_host = options_.session_name_prefix +
                                   std::to_string(id) + "-" + profile.name;
   s->server = std::make_unique<ThincServer>(loop_, s->transport.get(),
-                                            &host_cpu_, server_options);
+                                            &host_cpu_, &payloads_,
+                                            server_options);
   s->ws = std::make_unique<WindowServer>(options_.screen_width,
                                          options_.screen_height,
                                          s->server.get(), &host_cpu_);
@@ -281,11 +282,12 @@ std::optional<size_t> FleetHost::InsertSession(
     s->retired.push_back(std::move(s->transport));
   }
   CpuAccount* client_cpu = AttachTransport(s, weight, local);
-  // Move the whole server-side stack onto this host's CPU before any new
-  // work is charged, then resynchronize through the reconnect protocol with
-  // the differential resync armed: the client's renegotiation pulls only
-  // the region drawn since it provably matched the screen.
-  s->server->RebindCpu(&host_cpu_);
+  // Move the whole server-side stack onto this host's CPU and payload pool
+  // before any new work is charged, then resynchronize through the
+  // reconnect protocol with the differential resync armed: the client's
+  // renegotiation pulls only the region drawn since it provably matched the
+  // screen.
+  s->server->RebindHost(&host_cpu_, &payloads_);
   s->ws->set_cpu(&host_cpu_);
   s->server->Attach(s->transport.get());
   s->server->ArmDifferentialResync();

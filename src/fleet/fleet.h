@@ -288,6 +288,10 @@ class FleetHost {
   FleetOptions options_;
   CpuAccount host_cpu_;
   NicScheduler nic_;
+  // Shared by every session's server: sessions showing the same pixels
+  // share one payload and encode it once (declared before sessions_, whose
+  // servers use it).
+  PayloadPool payloads_;
   // Slot id -> session; a migrated-out slot holds nullptr forever.
   std::vector<std::unique_ptr<FleetSession>> sessions_;
   // Summed EFFECTIVE demand of sessions currently on the host (local

@@ -106,6 +106,7 @@ MetricsRegistry::MetricsRegistry() {
   RegisterExternal("buffer.raw_encodes", &b.raw_encodes);
   RegisterExternal("buffer.encode_charges", &b.encode_charges);
   RegisterExternal("buffer.payload_encode_hits", &b.payload_encode_hits);
+  RegisterExternal("buffer.payload_adoptions", &b.payload_adoptions);
   RegisterExternal("buffer.frame_cache_hits", &b.frame_cache_hits);
   RegisterExternal("buffer.live_payload_bytes", &b.live_payload_bytes);
   RegisterExternal("buffer.peak_payload_bytes", &b.peak_payload_bytes);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
+
+#include "src/core/command.h"
+#include "src/util/prng.h"
 
 namespace thinc {
 namespace {
@@ -14,14 +18,22 @@ std::vector<uint8_t> Iota(size_t n) {
   return v;
 }
 
-// Restores zero-copy mode and clears counters around each test.
+// A horizontal gradient with noise in every fourth pixel: compressible, and
+// distinct per seed.
+std::vector<Pixel> Pixels(size_t n, uint64_t seed) {
+  Prng rng(seed);
+  std::vector<Pixel> px(n);
+  for (size_t i = 0; i < n; ++i) {
+    px[i] = i % 4 == 0 ? static_cast<Pixel>(rng.Next()) | 0xFF000000
+                       : MakePixel(static_cast<uint8_t>(i), 90, 200);
+  }
+  return px;
+}
+
+// Clears the buffer counters before each test.
 class BufferTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    SetZeroCopyMode(true);
-    BufferStats::Get().Reset();
-  }
-  void TearDown() override { SetZeroCopyMode(true); }
+  void SetUp() override { BufferStats::Get().Reset(); }
 };
 
 // --- ByteBuffer -----------------------------------------------------------------
@@ -59,17 +71,6 @@ TEST_F(BufferTest, ShareOutlivesOriginalHandle) {
   }
   EXPECT_EQ(s.size(), 32u);
   EXPECT_EQ(s[31], 31);
-}
-
-TEST_F(BufferTest, LegacyModeSliceDeepCopies) {
-  ByteBuffer b = ByteBuffer::Adopt(Iota(64));
-  SetZeroCopyMode(false);
-  BufferStats::Get().Reset();
-  ByteBuffer s = b.Slice(0, 64);
-  EXPECT_NE(s.data(), b.data());
-  EXPECT_EQ(BufferStats::Get().copies, 1);
-  EXPECT_EQ(BufferStats::Get().copied_bytes, 64);
-  EXPECT_TRUE(std::equal(s.begin(), s.end(), b.begin()));
 }
 
 // --- PixelBuffer ----------------------------------------------------------------
@@ -129,15 +130,6 @@ TEST_F(BufferTest, AppendGrowsAndTracksLiveBytes) {
             live0 + static_cast<int64_t>(8 * sizeof(Pixel)));
 }
 
-TEST_F(BufferTest, LegacyModePixelShareDeepCopies) {
-  PixelBuffer a(std::vector<Pixel>(128, kWhite));
-  SetZeroCopyMode(false);
-  BufferStats::Get().Reset();
-  PixelBuffer b = a.Share();
-  EXPECT_NE(a.data(), b.data());
-  EXPECT_EQ(BufferStats::Get().copies, 1);
-}
-
 TEST_F(BufferTest, PayloadEncodeCacheRoundTrip) {
   PixelBuffer a(std::vector<Pixel>(16, kWhite));
   EXPECT_EQ(a.LookupEncode("k"), nullptr);
@@ -149,13 +141,6 @@ TEST_F(BufferTest, PayloadEncodeCacheRoundTrip) {
   // The cache lives on the payload: a share sees the same entries.
   PixelBuffer b = a.Share();
   EXPECT_NE(b.LookupEncode("k"), nullptr);
-}
-
-TEST_F(BufferTest, LegacyModeDisablesEncodeCache) {
-  SetZeroCopyMode(false);
-  PixelBuffer a(std::vector<Pixel>(16, kWhite));
-  a.StoreEncode("k", ByteBuffer::Adopt(Iota(5)), 1.0);
-  EXPECT_EQ(a.LookupEncode("k"), nullptr);
 }
 
 // --- FrameArena -----------------------------------------------------------------
@@ -245,15 +230,6 @@ TEST_F(BufferTest, AppendCopyIsIndependentOfCaller) {
   EXPECT_EQ(out[3], 3);
 }
 
-TEST_F(BufferTest, LegacyModeAppendCopies) {
-  SetZeroCopyMode(false);
-  SegmentQueue q;
-  ByteBuffer b = ByteBuffer::Adopt(Iota(64));
-  BufferStats::Get().Reset();
-  q.Append(b.Share());
-  EXPECT_GE(BufferStats::Get().copies, 1);
-}
-
 TEST_F(BufferTest, ClearDropsEverything) {
   SegmentQueue q;
   q.Append(ByteBuffer::Adopt(Iota(10)));
@@ -282,6 +258,97 @@ TEST_F(BufferTest, CacheFirstWriterWins) {
   cache.Store("k", ByteBuffer::Adopt(Iota(9)));
   EXPECT_EQ(cache.Lookup("k").size(), 4u);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+// --- PayloadPool ----------------------------------------------------------------
+
+TEST_F(BufferTest, PoolAdoptsLivePayloadWithEqualContent) {
+  PayloadPool pool;
+  PixelBuffer a(Pixels(300, 1));
+  PixelBuffer b(Pixels(300, 1));  // separately allocated, same pixels
+  EXPECT_FALSE(pool.Intern(&a));   // first sight registers
+  ASSERT_NE(a.data(), b.data());
+  EXPECT_TRUE(pool.Intern(&b));
+  EXPECT_EQ(b.data(), a.data());
+  EXPECT_EQ(b.content_id(), a.content_id());
+  EXPECT_EQ(BufferStats::Get().payload_adoptions, 1);
+  // Interning a pooled payload again neither adopts nor re-registers it.
+  EXPECT_FALSE(pool.Intern(&a));
+  EXPECT_EQ(pool.entry_count(), 1u);
+}
+
+TEST_F(BufferTest, PoolKeepsEqualSizedPayloadWithDifferentBytes) {
+  PayloadPool pool;
+  PixelBuffer a(Pixels(300, 1));
+  std::vector<Pixel> px = Pixels(300, 1);
+  px.back() ^= 1;
+  PixelBuffer b(std::move(px));
+  pool.Intern(&a);
+  EXPECT_FALSE(pool.Intern(&b));
+  EXPECT_NE(b.data(), a.data());
+  EXPECT_EQ(BufferStats::Get().payload_adoptions, 0);
+  EXPECT_EQ(pool.entry_count(), 2u);
+}
+
+TEST_F(BufferTest, PoolNeverAdoptsPayloadMutatedInPlace) {
+  PayloadPool pool;
+  const std::vector<Pixel> original = Pixels(300, 2);
+  PixelBuffer a{std::vector<Pixel>(original)};
+  pool.Intern(&a);
+  const Pixel* storage = a.data();
+  a.Mutate()[0] ^= 0xFF;  // sole owner: rewritten under the same storage
+  ASSERT_EQ(a.data(), storage);
+  PixelBuffer b{std::vector<Pixel>(original)};
+  EXPECT_FALSE(pool.Intern(&b));
+  EXPECT_NE(b.data(), a.data());
+  EXPECT_EQ(b.view()[0], original[0]);
+  // Even a rewrite that leaves the bytes as they were retires the entry:
+  // adoption needs the content id the payload was registered under.
+  PixelBuffer c(Pixels(300, 5));
+  pool.Intern(&c);
+  c.Mutate();
+  PixelBuffer d(Pixels(300, 5));
+  EXPECT_FALSE(pool.Intern(&d));
+  EXPECT_NE(d.data(), c.data());
+  EXPECT_EQ(BufferStats::Get().payload_adoptions, 0);
+}
+
+TEST_F(BufferTest, PoolEntriesExpireWithTheirPayloads) {
+  const int64_t live0 = BufferStats::Get().live_payload_bytes;
+  PayloadPool pool;
+  {
+    PixelBuffer a(Pixels(1000, 3));
+    pool.Intern(&a);
+    EXPECT_EQ(BufferStats::Get().live_payload_bytes,
+              live0 + static_cast<int64_t>(1000 * sizeof(Pixel)));
+  }
+  // The pool's entry kept nothing alive, and is never adopted.
+  EXPECT_EQ(BufferStats::Get().live_payload_bytes, live0);
+  PixelBuffer b(Pixels(1000, 3));
+  EXPECT_FALSE(pool.Intern(&b));
+  // Dead entries are swept as registrations grow the table.
+  for (uint64_t seed = 100; seed < 164; ++seed) {
+    PixelBuffer transient(Pixels(16, seed));
+    pool.Intern(&transient);
+  }
+  EXPECT_LT(pool.entry_count(), 8u);
+}
+
+TEST_F(BufferTest, AdoptedCommandEncodeIsPayloadCacheHit) {
+  const Rect r{0, 0, 64, 48};
+  PayloadPool pool;
+  RawCommand first(r, Pixels(static_cast<size_t>(r.area()), 4));
+  first.InternPayload(&pool);
+  const ByteBuffer frame = first.EncodeFrame();
+  const double cost = first.EncodeCpuCost();
+  RawCommand second(r, Pixels(static_cast<size_t>(r.area()), 4));
+  ASSERT_TRUE(second.InternPayload(&pool));
+  const BufferStats before = BufferStats::Get();
+  const ByteBuffer again = second.EncodeFrame();
+  EXPECT_EQ(BufferStats::Get().raw_encodes, before.raw_encodes);
+  EXPECT_EQ(BufferStats::Get().payload_encode_hits, before.payload_encode_hits + 1);
+  EXPECT_TRUE(std::equal(again.begin(), again.end(), frame.begin(), frame.end()));
+  EXPECT_EQ(second.EncodeCpuCost(), cost);
 }
 
 // --- Stats ----------------------------------------------------------------------

@@ -263,7 +263,6 @@ TEST(ExtractForCopyTest, ExtractedRawSharesPayloadUntilMutation) {
   // The offscreen queue-copy is the CoW tentpole case: extracting a RAW from
   // the queue clones it by reference (one backing allocation), and only a
   // genuine mutation of either side detaches.
-  SetZeroCopyMode(true);
   Rect r{0, 0, 16, 16};
   CommandQueue q;
   q.Insert(Raw(r, MakePixel(10, 20, 30)));
@@ -295,7 +294,6 @@ TEST(ExtractForCopyTest, QueueCopyIndependenceUnderCoW) {
   // Full behavioural independence: extract, then overwrite the source queue
   // entry — the previously extracted commands must still replay the old
   // content (value semantics preserved by copy-on-write).
-  SetZeroCopyMode(true);
   Rect r{0, 0, 8, 8};
   CommandQueue q;
   q.Insert(Raw(r, kWhite));

@@ -473,7 +473,6 @@ TEST(RawCommandCacheTest, CloneMutationDoesNotDisturbOriginal) {
 }
 
 TEST(RawCommandCacheTest, SharedPayloadEncodesOnceForIdenticalGeometry) {
-  SetZeroCopyMode(true);
   Rect r{0, 0, 32, 32};
   RawCommand cmd(r, NoisePixels(r.area(), 27));
   std::vector<uint8_t> original = Bytes(cmd.EncodeFrame());

@@ -209,7 +209,6 @@ TEST(SessionShareTest, EncodedFramesSharedAcrossViewers) {
   // The zero-copy tentpole for session sharing: a RAW frame encoded for one
   // viewer's connection is reused (cache hit, no re-encode) by the others,
   // and all viewers still converge to the same screen.
-  SetZeroCopyMode(true);
   EventLoop loop;
   SharedSessionHost host(&loop, 128, 96);
   std::vector<SharedSessionHost::Viewer*> viewers;
