@@ -32,7 +32,7 @@ int main() {
     int64_t total_bytes = 0;
     std::vector<int64_t> base;
     for (auto* v : vs) {
-      base.push_back(v->conn->BytesDeliveredTo(Connection::kClient));
+      base.push_back(v->transport()->BytesDeliveredTo(Connection::kClient));
     }
     for (int32_t p = 0; p < pages; ++p) {
       loop.RunUntil(loop.now() + 200 * kMillisecond);
@@ -41,12 +41,12 @@ int main() {
       loop.Run();
       SimTime done = 0;
       for (auto* v : vs) {
-        done = std::max(done, v->conn->LastDeliveryTo(Connection::kClient));
+        done = std::max(done, v->transport()->LastDeliveryTo(Connection::kClient));
       }
       worst_ms += static_cast<double>(done - t0) / kMillisecond / pages;
     }
     for (size_t i = 0; i < vs.size(); ++i) {
-      total_bytes += vs[i]->conn->BytesDeliveredTo(Connection::kClient) - base[i];
+      total_bytes += vs[i]->transport()->BytesDeliveredTo(Connection::kClient) - base[i];
     }
     BufferStats encodes = bench::BufferStatsDelta(encode0, bench::SnapshotBufferStats());
     std::printf("%7d %14.0f %17.1f %14.0f %16.1f %16.1f\n", viewers, worst_ms,

@@ -179,7 +179,7 @@ ClassRun RunDeviceClass(const char* name, const DeviceProfile& profile,
     r.segments_lost =
         static_cast<LossyTransport*>(fleet.transport(0))->segments_lost();
   }
-  r.decode_busy = fleet.session(0)->client_cpu->total_busy();
+  r.decode_busy = fleet.session(0)->session->device_cpu()->total_busy();
   r.view_w = fleet.client(0)->framebuffer().width();
   r.view_h = fleet.client(0)->framebuffer().height();
   std::vector<int64_t> lat;

@@ -1,5 +1,6 @@
 // Figure 4: THINC average web page latency using the Table 2 remote sites
-// (the headless instrumented client of Section 8.1).
+// (Section 8.1's instrumented client: it processes every update and drives no
+// output hardware, which is all the simulated client ever does).
 #include "bench/bench_common.h"
 
 using namespace thinc;

@@ -25,7 +25,7 @@ int main() {
   }
   auto* ireland = host.AddViewer(atlantic);
   auto* pda = host.AddViewer(Pda80211gLink());
-  pda->client->RequestViewport(320, 240);
+  pda->client()->RequestViewport(320, 240);
   loop.Run();
 
   // The host browses a page; every viewer sees it.
@@ -40,11 +40,11 @@ int main() {
 
   auto report = [&](const char* who, SharedSessionHost::Viewer* v) {
     int64_t diff = -1;
-    bool exact = host.window_server()->screen().Equals(v->client->framebuffer(),
+    bool exact = host.window_server()->screen().Equals(v->client()->framebuffer(),
                                                        &diff);
     std::printf("%-10s %4dx%-4d  %8lld bytes  %s\n", who,
-                v->client->framebuffer().width(), v->client->framebuffer().height(),
-                static_cast<long long>(v->conn->BytesDeliveredTo(Connection::kClient)),
+                v->client()->framebuffer().width(), v->client()->framebuffer().height(),
+                static_cast<long long>(v->transport()->BytesDeliveredTo(Connection::kClient)),
                 exact ? "pixel-exact" : "server-resized view");
   };
   std::printf("viewer     geometry       received  fidelity\n");

@@ -28,13 +28,17 @@ uint64_t HashSurface(const Surface& s) {
   return h;
 }
 
+// Concurrent handoffs, and how cold a destination must be: its worst lag
+// at most this fraction of the overload bar.
+constexpr int kMaxInflightMigrations = 1;
+constexpr double kDestColdFraction = 0.5;
+
 }  // namespace
 
 ClusterController::ClusterController(EventLoop* loop, ClusterOptions options)
     : loop_(loop), options_(options) {
   THINC_CHECK(options_.hosts >= 1);
   THINC_CHECK(options_.interconnect_bps > 0);
-  THINC_CHECK(options_.max_inflight_migrations >= 1);
   hosts_.reserve(options_.hosts);
   hot_ticks_.assign(options_.hosts, 0);
   for (int h = 0; h < options_.hosts; ++h) {
@@ -204,41 +208,17 @@ FleetSession* ClusterController::Resolve(int64_t gid) {
   return hosts_[ref.host]->session(ref.slot);
 }
 
-void ClusterController::ClientClick(int64_t gid, Point location) {
-  // Clicks during a migration blackout are dropped by the client's closed
-  // transport, exactly like clicks during a PR 1 outage.
-  Resolve(gid)->client->SendInput(location, /*button=*/1);
-}
-
-void ClusterController::SetInputCallback(int64_t gid,
-                                         std::function<void(Point)> fn) {
-  Resolve(gid)->input_fn = std::move(fn);
-}
-
-int64_t ClusterController::BytesDeliveredToClient(int64_t gid) {
-  FleetSession* s = Resolve(gid);
-  int64_t total = 0;
-  for (const auto& t : s->retired) {
-    total += t->BytesDeliveredTo(Transport::kClient);
-  }
-  if (s->transport != nullptr) {
-    total += s->transport->BytesDeliveredTo(Transport::kClient);
-  }
-  return total;
-}
-
 uint64_t ClusterController::ClientFramebufferHash(int64_t gid) {
-  return HashSurface(Resolve(gid)->client->framebuffer());
+  return HashSurface(client(gid)->framebuffer());
 }
 
 size_t ClusterController::MismatchedPixels(int64_t gid) {
-  FleetSession* s = Resolve(gid);
-  const Surface& client = s->client->framebuffer();
-  const Surface& screen = s->ws->screen();
+  const Surface& shown = client(gid)->framebuffer();
+  const Surface& screen = window_server(gid)->screen();
   size_t bad = 0;
   for (int32_t y = 0; y < screen.height(); ++y) {
     for (int32_t x = 0; x < screen.width(); ++x) {
-      if (client.At(x, y) != screen.At(x, y)) {
+      if (shown.At(x, y) != screen.At(x, y)) {
         ++bad;
       }
     }
@@ -282,7 +262,7 @@ void ClusterController::Tick(SimTime until) {
   hot_g->Set(hot_hosts);
   inflight_g->Set(inflight_);
   if (options_.migration_enabled &&
-      inflight_ < options_.max_inflight_migrations) {
+      inflight_ < kMaxInflightMigrations) {
     TryMigrate(sigs);
   }
   if (now + options_.control_interval <= until) {
@@ -297,7 +277,7 @@ void ClusterController::TryMigrate(
   const SimTime now = loop_->now();
   const SimTime cold_bar = static_cast<SimTime>(
       static_cast<double>(options_.host.overload_lag) *
-      options_.dest_cold_fraction);
+      kDestColdFraction);
   for (size_t h = 0; h < hosts_.size(); ++h) {
     if (hot_ticks_[h] < options_.ticks_to_migrate) {
       continue;
@@ -368,10 +348,10 @@ bool ClusterController::MigrateSession(int64_t gid, size_t dest_host) {
 
 void ClusterController::StartMigration(int64_t gid, size_t from, size_t to) {
   SessionRef& ref = table_[gid];
-  FleetSession* live = hosts_[from]->session(ref.slot);
   // Size the handoff BEFORE parking: the delta budget check wants the live
   // transport's delivered state (an idle session ships descriptor only).
-  const size_t state_bytes = live->server->MigrationStateBytes();
+  const size_t state_bytes =
+      hosts_[from]->server(ref.slot)->MigrationStateBytes();
   const bool differential =
       state_bytes <
       ThincServer::kMigrationDescriptorBytes + FramebufferBytes();
@@ -421,8 +401,7 @@ void ClusterController::CompleteMigration(int64_t gid, size_t dest) {
   }
   rec.to_host = dest;
   rec.resume = loop_->now();
-  record_transports_[ref.record_index] =
-      hosts_[dest]->session(*slot)->transport.get();
+  record_transports_[ref.record_index] = hosts_[dest]->transport(*slot);
   ref.host = dest;
   ref.slot = *slot;
   ref.last_migration = loop_->now();

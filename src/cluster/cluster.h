@@ -62,17 +62,14 @@ struct ClusterOptions {
   int64_t interconnect_bps = 1'000'000'000;
   SimTime interconnect_rtt = 1 * kMillisecond;
   // Migration controller: sampling period, sustained-overload samples
-  // before a move, per-session cooldown between moves, and the cap on
-  // concurrent handoffs.
+  // before a move, and per-session cooldown between moves. At most
+  // kMaxInflightMigrations handoffs run at once, and a destination must be
+  // cold (its own worst lag at most half of host.overload_lag) to receive a
+  // session: migrating onto a warming host just moves the hotspot.
   bool migration_enabled = true;
   SimTime control_interval = 100 * kMillisecond;
   int ticks_to_migrate = 3;
   SimTime session_cooldown = 2 * kSecond;
-  int max_inflight_migrations = 1;
-  // A destination must be this cold — its own worst lag at or below
-  // host.overload_lag * dest_cold_fraction — to receive a session
-  // (migrating onto a warming host just moves the hotspot).
-  double dest_cold_fraction = 0.5;
 };
 
 // One completed (or in-flight: resume == 0) migration.
@@ -134,7 +131,6 @@ class ClusterController {
   // --- Topology --------------------------------------------------------------
   size_t host_count() const { return hosts_.size(); }
   FleetHost* host(size_t h) { return hosts_[h].get(); }
-  EventLoop* loop() { return loop_; }
   const ClusterOptions& options() const { return options_; }
   // Effective load fraction of host h: admitted demand over headroom-scaled
   // capacity, the worse of CPU and NIC (the placement key).
@@ -147,17 +143,27 @@ class ClusterController {
   size_t parked_count() const { return parked_; }
   size_t host_of(int64_t gid) const { return table_[gid].host; }
   bool in_flight(int64_t gid) const { return table_[gid].moving != nullptr; }
-  ThincServer* server(int64_t gid) { return Resolve(gid)->server.get(); }
-  ThincClient* client(int64_t gid) { return Resolve(gid)->client.get(); }
-  WindowServer* window_server(int64_t gid) { return Resolve(gid)->ws.get(); }
-  Transport* transport(int64_t gid) { return Resolve(gid)->transport.get(); }
+  ThincServer* server(int64_t gid) { return Session(gid)->server(); }
+  ThincClient* client(int64_t gid) { return Session(gid)->client(); }
+  WindowServer* window_server(int64_t gid) {
+    return Session(gid)->window_server();
+  }
+  Transport* transport(int64_t gid) { return Session(gid)->transport(); }
   Prng* prng(int64_t gid) { return &Resolve(gid)->prng; }
   bool is_local(int64_t gid) { return Resolve(gid)->local; }
-  void ClientClick(int64_t gid, Point location);
-  void SetInputCallback(int64_t gid, std::function<void(Point)> fn);
+  // Clicks during a migration blackout are dropped by the client's closed
+  // transport, exactly like clicks during a reconnect outage.
+  void ClientClick(int64_t gid, Point location) {
+    Session(gid)->ClientClick(location);
+  }
+  void SetInputCallback(int64_t gid, std::function<void(Point)> fn) {
+    Session(gid)->SetInputCallback(std::move(fn));
+  }
   // Delivered bytes to the client across every transport the session ever
   // used (current + retired-by-migration).
-  int64_t BytesDeliveredToClient(int64_t gid);
+  int64_t BytesDeliveredToClient(int64_t gid) {
+    return Session(gid)->BytesDeliveredToClient();
+  }
   // FNV-1a over the client's framebuffer pixels (migration content checks:
   // must equal the no-migration run's hash after quiesce).
   uint64_t ClientFramebufferHash(int64_t gid);
@@ -179,6 +185,7 @@ class ClusterController {
   };
 
   FleetSession* Resolve(int64_t gid);
+  ThincSession* Session(int64_t gid) { return Resolve(gid)->session.get(); }
   // True when `gid` would run co-located on `host` (its home).
   bool LocalOn(const SessionRef& ref, size_t host) const {
     return ref.home_host.has_value() && *ref.home_host == host;

@@ -163,81 +163,56 @@ SharedSessionHost::SharedSessionHost(EventLoop* loop, int32_t width, int32_t hei
 SharedSessionHost::~SharedSessionHost() {
   // Detach sinks before their ThincServers are destroyed.
   for (auto& viewer : viewers_) {
-    broadcast_.RemoveSink(viewer->server.get());
+    broadcast_.RemoveSink(viewer->server());
   }
 }
 
-SharedSessionHost::Viewer* SharedSessionHost::AddViewer(
-    const LinkParams& link, ThincServerOptions server_options,
-    ThincClientOptions client_options) {
-  auto viewer = std::make_unique<Viewer>();
-  viewer->client_cpu = std::make_unique<CpuAccount>(loop_, 1.0);
-  viewer->conn = std::make_unique<Connection>(loop_, link);
-  CpuAccount* client_cpu = viewer->client_cpu.get();
-  return FinishViewer(std::move(viewer), client_cpu, server_options,
-                      client_options);
-}
-
-SharedSessionHost::Viewer* SharedSessionHost::AddLocalViewer(
-    LoopbackOptions loopback, ThincServerOptions server_options,
-    ThincClientOptions client_options) {
-  auto viewer = std::make_unique<Viewer>();
-  // Co-located: frames reach the client as ref-counted handoffs, and the
-  // client decodes on the same machine the session runs on, so its work
-  // shares the host CPU instead of a remote terminal's.
-  viewer->conn = std::make_unique<LoopbackTransport>(loop_, &host_cpu_, loopback);
-  return FinishViewer(std::move(viewer), &host_cpu_, server_options,
-                      client_options);
-}
-
-SharedSessionHost::Viewer* SharedSessionHost::FinishViewer(
-    std::unique_ptr<Viewer> viewer, CpuAccount* client_cpu,
-    ThincServerOptions server_options, ThincClientOptions client_options) {
-  client_options.client_pull = !server_options.server_push;
-  client_options.encrypt = server_options.encrypt;
+SharedSessionHost::Viewer* SharedSessionHost::AddSession(
+    ThincServerOptions server_options, ThincClientOptions client_options,
+    const TransportSpec& transport) {
+  ThincSessionOptions options{.server = std::move(server_options),
+                              .client = std::move(client_options),
+                              .transport = transport};
   // All viewers share one encoded-frame cache: a frame encoded for any
   // viewer is reused (bytes and skipped CPU charge) by the rest.
-  server_options.shared_frame_cache = &frame_cache_;
+  options.server.shared_frame_cache = &frame_cache_;
   // Per-viewer protocol work (translation, encode, encryption) runs on the
   // one shared host CPU — which is what bounds how many viewers one session
   // scales to.
-  viewer->server = std::make_unique<ThincServer>(
-      loop_, viewer->conn.get(), &host_cpu_, &payloads_, server_options);
-  viewer->server->AttachWindowServer(window_server_.get());
-  viewer->client = std::make_unique<ThincClient>(
-      loop_, viewer->conn.get(), client_cpu,
-      window_server_->screen_width(), window_server_->screen_height(),
-      client_options);
-  viewer->server->SetInputHandler([this](Point p, int32_t) {
-    // Input from any collaborator reaches the shared application.
-    window_server_->InjectInput(p);
+  viewers_.push_back(std::make_unique<Viewer>(
+      loop_, &host_cpu_, &payloads_, std::move(options), window_server_.get()));
+  Viewer* viewer = viewers_.back().get();
+  // Input from any collaborator reaches the shared application.
+  viewer->SetInputCallback([this](Point p) {
     if (input_fn_) {
       input_fn_(p);
     }
   });
-  broadcast_.AddSink(viewer->server.get());
+  broadcast_.AddSink(viewer->server());
   // Late joiners catch up with the session's current contents.
-  viewer->server->SendFullRefresh();
-  viewers_.push_back(std::move(viewer));
+  viewer->server()->SendFullRefresh();
   static Gauge* viewers = MetricsRegistry::Get().GetGauge("share.viewers");
   viewers->Set(static_cast<int64_t>(viewers_.size()));
-  return viewers_.back().get();
+  return viewer;
 }
 
 void SharedSessionHost::RemoveViewer(Viewer* viewer) {
-  broadcast_.RemoveSink(viewer->server.get());
-  viewers_.erase(std::remove_if(viewers_.begin(), viewers_.end(),
-                                [viewer](const std::unique_ptr<Viewer>& v) {
-                                  return v.get() == viewer;
-                                }),
-                 viewers_.end());
+  broadcast_.RemoveSink(viewer->server());
+  viewer->Disconnect();
+  auto it = std::find_if(viewers_.begin(), viewers_.end(),
+                         [viewer](const std::unique_ptr<Viewer>& v) {
+                           return v.get() == viewer;
+                         });
+  THINC_CHECK(it != viewers_.end());
+  removed_.push_back(std::move(*it));
+  viewers_.erase(it);
   MetricsRegistry::Get().GetGauge("share.viewers")->Set(
       static_cast<int64_t>(viewers_.size()));
 }
 
 void SharedSessionHost::SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) {
   for (auto& viewer : viewers_) {
-    viewer->server->SubmitAudio(pcm, timestamp);
+    viewer->server()->SubmitAudio(pcm, timestamp);
   }
 }
 

@@ -19,11 +19,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/thinc_client.h"
-#include "src/core/thinc_server.h"
+#include "src/core/thinc_session.h"
 #include "src/display/window_server.h"
-#include "src/net/connection.h"
-#include "src/net/loopback.h"
 
 namespace thinc {
 
@@ -78,14 +75,8 @@ class BroadcastDriver : public DisplayDriver {
 // A complete shared session: the window server plus any number of viewers.
 class SharedSessionHost {
  public:
-  struct Viewer {
-    std::unique_ptr<Transport> conn;
-    std::unique_ptr<ThincServer> server;
-    std::unique_ptr<ThincClient> client;
-    // Remote viewers decode on their own terminal (1.0x); null for local
-    // viewers, whose client work lands on the shared host CPU.
-    std::unique_ptr<CpuAccount> client_cpu;
-  };
+  // A viewer is one THINC session on the shared window server.
+  using Viewer = ThincSession;
 
   // `host_cpu_cores` models a K-core host: per-viewer encodes overlap
   // across cores, and large RAW encodes additionally split into parallel
@@ -97,15 +88,22 @@ class SharedSessionHost {
   // Adds a viewer over `link`. If content has already been drawn, the new
   // viewer immediately receives a full refresh (the late-join path).
   Viewer* AddViewer(const LinkParams& link, ThincServerOptions server_options = {},
-                    ThincClientOptions client_options = {});
+                    ThincClientOptions client_options = {}) {
+    return AddSession(std::move(server_options), std::move(client_options),
+                      {.link = link});
+  }
   // Adds a co-located viewer: a LoopbackTransport hands encoded frames to
   // the client by reference (no wire, no copies), and both the handoffs and
   // the client's decode work are charged to the shared host CPU — the
   // "second head on the same machine" collaboration setup.
-  Viewer* AddLocalViewer(LoopbackOptions loopback = {},
-                         ThincServerOptions server_options = {},
-                         ThincClientOptions client_options = {});
-  // Disconnects a viewer (the session keeps running for the others).
+  Viewer* AddLocalViewer(ThincServerOptions server_options = {},
+                         ThincClientOptions client_options = {}) {
+    return AddSession(std::move(server_options), std::move(client_options),
+                      {.kind = TransportKind::kLoopback});
+  }
+  // Disconnects a viewer (the session keeps running for the others). The
+  // viewer's transport is reset and the viewer kept alive: loop events
+  // still point into its transport, server and client.
   void RemoveViewer(Viewer* viewer);
 
   WindowServer* window_server() { return window_server_.get(); }
@@ -121,12 +119,12 @@ class SharedSessionHost {
   void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp);
 
  private:
-  // Shared tail of AddViewer/AddLocalViewer: builds server and client over
-  // the viewer's transport (already set) and wires them into the broadcast
-  // fan-out and the late-join refresh.
-  Viewer* FinishViewer(std::unique_ptr<Viewer> viewer, CpuAccount* client_cpu,
-                       ThincServerOptions server_options,
-                       ThincClientOptions client_options);
+  // Shared tail of AddViewer/AddLocalViewer: builds the viewer's session on
+  // the shared window server and wires it into the broadcast fan-out and
+  // the late-join refresh.
+  Viewer* AddSession(ThincServerOptions server_options,
+                     ThincClientOptions client_options,
+                     const TransportSpec& transport);
 
   EventLoop* loop_;
   CpuAccount host_cpu_;
@@ -142,6 +140,8 @@ class SharedSessionHost {
   PayloadPool payloads_;
   std::unique_ptr<WindowServer> window_server_;
   std::vector<std::unique_ptr<Viewer>> viewers_;
+  // Removed viewers, disconnected but alive.
+  std::vector<std::unique_ptr<Viewer>> removed_;
   std::function<void(Point)> input_fn_;
 };
 

@@ -1,8 +1,6 @@
 #include "src/core/thinc_client.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/telemetry/telemetry.h"
 #include "src/util/logging.h"
@@ -48,9 +46,7 @@ void ThincClient::BindConnection() {
 
 void ThincClient::Attach(Transport* conn, CpuAccount* cpu) {
   conn_ = conn;
-  if (cpu != nullptr) {
-    cpu_ = cpu;
-  }
+  cpu_ = cpu;
   connected_ = true;
   // Transport state died with the old connection: half-parsed frame bytes,
   // cipher keystream position, the server's stream table (it re-announces).
@@ -192,21 +188,15 @@ void ThincClient::HandleFrame(uint8_t type, std::span<const uint8_t> payload) {
       if (cmd == nullptr) {
         return;  // malformed frame: drop, never crash
       }
-      if (std::getenv("THINC_TRACE") != nullptr) {
-        std::fprintf(stderr, "client apply type=%d region=%s\n", type,
-                     cmd->region().ToString().c_str());
-      }
       SimTime done = ChargeAndStamp(cpucost::kDecodePerByte *
                                     static_cast<double>(payload.size()));
       if (trace_id != 0) {
         telemetry.StampDecoded(trace_id, done);
       }
-      if (!options_.headless) {
-        cmd->Apply(&framebuffer_);
-        // Fill/copy operations run on the display hardware; charge a token
-        // cost per pixel touched.
-        done = ChargeAndStamp(0.001 * static_cast<double>(cmd->region().Area()));
-      }
+      cmd->Apply(&framebuffer_);
+      // Fill/copy operations run on the display hardware; charge a token
+      // cost per pixel touched.
+      done = ChargeAndStamp(0.001 * static_cast<double>(cmd->region().Area()));
       if (trace_id != 0) {
         telemetry.StampDamaged(trace_id, done);
       }
@@ -245,11 +235,9 @@ void ThincClient::HandleFrame(uint8_t type, std::span<const uint8_t> payload) {
       // Overlay hardware: color conversion + scale to the display rect is
       // effectively free; charge only the data shuffle.
       ChargeAndStamp(0.001 * static_cast<double>(planes.size()));
-      if (!options_.headless) {
-        // Scale to the stream's whole destination, then clip to the screen,
-        // as the server's reference screen does.
-        Yv12ScaleInto(Yv12Frame::Unpack(w, h, planes), it->second.dst, &framebuffer_);
-      }
+      // Scale to the stream's whole destination, then clip to the screen,
+      // as the server's reference screen does.
+      Yv12ScaleInto(Yv12Frame::Unpack(w, h, planes), it->second.dst, &framebuffer_);
       video_frames_.push_back(VideoFrameArrival{id, loop_->now(), server_ts});
       pull_outstanding_ = false;
       MaybeRearmPull();

@@ -2,10 +2,8 @@
 // commands into (emulated) hardware operations on its local framebuffer.
 //
 // Mirrors the paper's client design: it holds only transient soft state (the
-// framebuffer), accelerates COPY/fills/video-overlay in "hardware", forwards
-// input to the server, and can run headless — the instrumented mode used for
-// the PlanetLab experiments, which processes all display and audio data
-// without driving real output hardware.
+// framebuffer), accelerates COPY/fills/video-overlay in "hardware", and
+// forwards input to the server.
 #ifndef THINC_SRC_CORE_THINC_CLIENT_H_
 #define THINC_SRC_CORE_THINC_CLIENT_H_
 
@@ -28,8 +26,7 @@
 namespace thinc {
 
 struct ThincClientOptions {
-  bool encrypt = true;    // must match the server
-  bool headless = false;  // instrumented client: process but don't render
+  bool encrypt = true;  // must match the server
   // Client-pull mode (ablation): the client must request updates.
   bool client_pull = false;
   // Chrome-trace host name registered for this client's pid. Device
@@ -73,10 +70,9 @@ class ThincClient {
   // Attach() rebinds to a fresh connection and renegotiates the session —
   // viewport (which triggers the server's full-screen resync update) and
   // cursor position; in pull mode it also re-arms the update request.
-  // `cpu` optionally rebinds where the client's decode work is booked — a
-  // transport-kind switch (wire client CPU <-> co-located host CPU) moves
-  // the decode cost with it. nullptr keeps the current account.
-  void Attach(Transport* conn, CpuAccount* cpu = nullptr);
+  // `cpu` is where the client decodes from now on: a transport-kind switch
+  // (wire client CPU <-> co-located host CPU) moves the decode cost with it.
+  void Attach(Transport* conn, CpuAccount* cpu);
   bool connected() const { return connected_; }
 
   // --- Measurement -------------------------------------------------------------

@@ -22,6 +22,10 @@ constexpr uint8_t kTransportKey[16] = {0x54, 0x48, 0x49, 0x4E, 0x43, 0x2D, 0x4B,
 // negligible next to the rendering work, which WindowServer charges).
 constexpr double kTranslateCost = 1.0;
 
+// Aggregation window between command generation and transmission, before
+// the degradation ladder stretches it.
+constexpr SimTime kFlushInterval = kMillisecond;
+
 // Minimum reference-speed cost (µs) worth one parallel encode slice: slices
 // below this would spend more on scheduling than they save, so an encode
 // splits into at most cost/kEncodeSliceCostUs slices (and never more than
@@ -203,7 +207,7 @@ void ThincServer::SetDegradationLevel(int level) {
 }
 
 SimTime ThincServer::EffectiveFlushInterval() const {
-  return options_.flush_interval * options_.ladder.flush_stretch[degradation_level_];
+  return kFlushInterval * options_.ladder.flush_stretch[degradation_level_];
 }
 
 void ThincServer::EnforceSchedulerCap() {
@@ -698,9 +702,8 @@ size_t ThincServer::CommitBytes(const ByteBuffer& bytes, size_t* cursor) {
 }
 
 SimTime ThincServer::ChargeEncode(double cost_us) {
-  if (options_.parallel_encode_slices && cpu_->cores() > 1 &&
-      pending_ != nullptr && pending_->type() == MsgType::kRaw &&
-      cost_us > kEncodeSliceCostUs) {
+  if (cpu_->cores() > 1 && pending_ != nullptr &&
+      pending_->type() == MsgType::kRaw && cost_us > kEncodeSliceCostUs) {
     const int by_cost = static_cast<int>(cost_us / kEncodeSliceCostUs);
     const int slices = std::min(cpu_->cores(), by_cost);
     if (slices > 1) {

@@ -96,14 +96,6 @@ struct ThincServerOptions {
   bool encrypt = true;             // RC4 transport encryption
   bool compress_raw = true;        // PNG-like compression of RAW payloads
   SchedulerOptions scheduler;
-  // Aggregation window between command generation and transmission.
-  SimTime flush_interval = kMillisecond;
-  // On a multi-core host, split large RAW/PNG-like encodes into per-band
-  // slices charged to distinct cores (§DESIGN.md 12). Off: every encode is
-  // one serial charge even when idle cores are available. No effect on a
-  // single-core host, and never on wire bytes — only on encode completion
-  // times.
-  bool parallel_encode_slices = true;
   // Shared encoded-frame cache (session sharing): when set — only a
   // SharedSessionHost does this — a RAW frame another viewer's server
   // already encoded is reused at flush time and its encode CPU charge is

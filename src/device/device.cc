@@ -51,4 +51,28 @@ DeviceProfile PiTerminalProfile() {
   return p;
 }
 
+ThincSessionOptions ApplyProfile(const DeviceProfile& profile,
+                                 ThincSessionOptions options) {
+  // The profile chooses the overload ladder (phones degrade resolution
+  // first) and names the client's trace host by class so mixed populations
+  // stay distinguishable.
+  options.server.ladder = profile.ladder;
+  options.client.telemetry_host += "-" + profile.name;
+  options.transport.link = profile.link.value_or(options.transport.link);
+  if (profile.lossy) {
+    options.transport.kind = TransportKind::kLossy;
+    options.transport.loss = profile.loss;
+  }
+  options.decode_speed = profile.decode_speed;
+  // A device panel smaller than the hosted desktop negotiates its viewport
+  // at session start: the server resamples every update through the Fant
+  // path (Section 6) and ships phone-sized bytes from the first refresh.
+  if (profile.screen_width > 0 && profile.screen_height > 0 &&
+      (profile.screen_width != options.screen_width ||
+       profile.screen_height != options.screen_height)) {
+    options.viewport = Point{profile.screen_width, profile.screen_height};
+  }
+  return options;
+}
+
 }  // namespace thinc

@@ -18,11 +18,12 @@
 //   * input cadence — which interactive trace generator class drives the
 //     session (src/workload/input_trace.h).
 //
-// A FleetHost admits a mixed population by passing one profile per
-// AddSession; a ClusterController forwards profiles through placement and
-// they travel with the session across live migrations (the profile lives in
-// FleetSession). The default-constructed profile IS the desktop: every
-// existing call site is unchanged byte-for-byte.
+// ApplyProfile turns a profile into session options, for ThincSystem and
+// FleetHost alike. A FleetHost admits a mixed population by passing one
+// profile per AddSession; a ClusterController forwards profiles through
+// placement and they travel with the session across live migrations (the
+// profile lives in FleetSession). The default-constructed profile IS the
+// desktop.
 #ifndef THINC_SRC_DEVICE_DEVICE_H_
 #define THINC_SRC_DEVICE_DEVICE_H_
 
@@ -31,6 +32,7 @@
 #include <string>
 
 #include "src/core/thinc_server.h"
+#include "src/core/thinc_session.h"
 #include "src/net/link.h"
 #include "src/net/lossy.h"
 
@@ -86,6 +88,11 @@ DeviceProfile SmartphoneProfile();
 // Pi-class display-only terminal (computer-lab deployment): full screen on a
 // clean LAN wire, 0.5x decode CPU, sparse kiosk input.
 DeviceProfile PiTerminalProfile();
+
+// `options` for a session serving `profile`. A lossy profile's transport
+// keeps profile.loss.seed; hosts of many sessions reseed it per session.
+ThincSessionOptions ApplyProfile(const DeviceProfile& profile,
+                                 ThincSessionOptions options);
 
 }  // namespace thinc
 

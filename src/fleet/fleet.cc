@@ -15,6 +15,9 @@ constexpr uint64_t kPrngZeroRemap = 0x9E3779B97F4A7C15ULL;
 
 uint64_t EffectiveSeed(uint64_t seed) { return seed ? seed : kPrngZeroRemap; }
 
+// Calm controller ticks before a session steps back up the ladder.
+constexpr int kTicksToRestore = 10;
+
 }  // namespace
 
 FleetHost::FleetHost(EventLoop* loop, FleetOptions options)
@@ -94,149 +97,88 @@ FleetHost::Admission FleetHost::AddSession(const FleetSessionDemand& demand,
   // Ids are assigned only on admission, so id == index into sessions_ and
   // the public accessors, the seed derivation, and the telemetry host name
   // all agree on one numbering even after parks/rejects.
-  const size_t id = sessions_.size();
   auto s = std::make_unique<FleetSession>();
-  s->id = id;
-  s->seed = DeriveSessionSeed(options_.seed, id);
+  s->id = sessions_.size();
+  s->seed = DeriveSessionSeed(options_.seed, s->id);
   s->local = local;
   s->demand = demand;
   s->profile = profile;
   s->prng = Prng(s->seed);
+  const ThincSessionOptions session_options = SessionOptions(*s, weight, local);
+  s->session = std::make_unique<ThincSession>(loop_, &host_cpu_, &payloads_,
+                                              session_options);
+  Install(std::move(s));
+  static Counter* admitted = MetricsRegistry::Get().GetCounter("fleet.admitted");
+  static Gauge* locals = MetricsRegistry::Get().GetGauge("fleet.local_sessions");
+  admitted->Inc();
+  locals->Set(static_cast<int64_t>(local_count_));
+  // Device-matrix accounting: which classes this host serves and how many
+  // of them needed viewport/loss-path treatment (per-class names are few,
+  // so the registry lookup per admission is fine).
+  MetricsRegistry::Get()
+      .GetCounter(std::string("device.admitted.") +
+                  DeviceClassName(profile.klass))
+      ->Inc();
+  if (session_options.viewport.has_value()) {
+    static Counter* viewports =
+        MetricsRegistry::Get().GetCounter("device.viewport_negotiations");
+    viewports->Inc();
+  }
+  if (profile.lossy) {
+    static Counter* lossy_paths =
+        MetricsRegistry::Get().GetCounter("device.lossy_paths");
+    lossy_paths->Inc();
+  }
+  return Admission::kAdmitted;
+}
+
+ThincSessionOptions FleetHost::SessionOptions(const FleetSession& s,
+                                              int64_t weight, bool local) {
+  ThincSessionOptions o = {
+      .screen_width = options_.screen_width,
+      .screen_height = options_.screen_height,
+      .server = options_.server_options,
+      .client = options_.client_options,
+      .transport = {.link = options_.link,
+                    .send_buffer_bytes = options_.send_buffer_bytes}};
+  o.server.telemetry_host = options_.session_name_prefix + std::to_string(s.id);
+  o.client.telemetry_host = o.server.telemetry_host;
+  o = ApplyProfile(s.profile, std::move(o));
+  // Each session's loss process gets its own deterministic substream,
+  // derived from the session seed by the same bijective mix that keeps
+  // workload streams disjoint (constant tags the loss domain).
+  o.transport.loss.seed = DeriveSessionSeed(s.seed, 0x10551ULL);
+  if (local) {
+    // Co-located session: frames reach the client as ref-counted loopback
+    // handoffs, never through the NIC.
+    o.transport.kind = TransportKind::kLoopback;
+  } else {
+    o.transport.nic = &nic_;
+    o.transport.nic_weight = weight;
+  }
+  return o;
+}
+
+void FleetHost::Install(std::unique_ptr<FleetSession> s) {
   // Two sessions sharing a PRNG stream would correlate "independent"
   // workloads; the derivation makes it impossible, and this check keeps it
   // that way if the derivation ever changes. Migrated-out slots are
-  // tombstones; migrated-in seeds are checked by InsertSession.
+  // tombstones.
   for (const auto& other : sessions_) {
     THINC_CHECK_MSG(other == nullptr ||
                         EffectiveSeed(other->seed) != EffectiveSeed(s->seed),
                     "fleet sessions must not share a PRNG stream");
   }
-
-  CpuAccount* client_cpu = AttachTransport(s.get(), weight, local);
-  ThincServerOptions server_options = options_.server_options;
-  server_options.telemetry_host =
-      options_.session_name_prefix + std::to_string(id);
-  // The device profile chooses the overload ladder (phones degrade
-  // resolution first) and names the client's trace host by class so mixed
-  // populations stay distinguishable.
-  server_options.ladder = profile.ladder;
-  ThincClientOptions client_options = options_.client_options;
-  client_options.client_pull = !server_options.server_push;
-  client_options.encrypt = server_options.encrypt;
-  client_options.telemetry_host = options_.session_name_prefix +
-                                  std::to_string(id) + "-" + profile.name;
-  s->server = std::make_unique<ThincServer>(loop_, s->transport.get(),
-                                            &host_cpu_, &payloads_,
-                                            server_options);
-  s->ws = std::make_unique<WindowServer>(options_.screen_width,
-                                         options_.screen_height,
-                                         s->server.get(), &host_cpu_);
-  s->server->AttachWindowServer(s->ws.get());
-  s->client = std::make_unique<ThincClient>(loop_, s->transport.get(),
-                                            client_cpu,
-                                            options_.screen_width,
-                                            options_.screen_height,
-                                            client_options);
-  BindInputHandler(s.get());
-  // A device panel smaller than the hosted desktop negotiates its viewport
-  // at session start; the server Fant-resamples every subsequent update.
-  if (profile.screen_width > 0 && profile.screen_height > 0 &&
-      (profile.screen_width != options_.screen_width ||
-       profile.screen_height != options_.screen_height)) {
-    s->client->RequestViewport(profile.screen_width, profile.screen_height);
-  }
-
   admitted_cpu_us_per_sec_ += s->demand.cpu_us_per_sec;
-  if (!local) {
-    admitted_nic_bytes_per_sec_ += s->demand.nic_bytes_per_sec;
-  }
-  if (local) {
+  if (s->local) {
     ++local_count_;
+  } else {
+    admitted_nic_bytes_per_sec_ += s->demand.nic_bytes_per_sec;
   }
   ++live_sessions_;
   sessions_.push_back(std::move(s));
-  {
-    static Counter* admitted =
-        MetricsRegistry::Get().GetCounter("fleet.admitted");
-    static Gauge* count = MetricsRegistry::Get().GetGauge("fleet.sessions");
-    static Gauge* locals = MetricsRegistry::Get().GetGauge("fleet.local_sessions");
-    admitted->Inc();
-    count->Set(static_cast<int64_t>(live_sessions_));
-    locals->Set(static_cast<int64_t>(local_count_));
-    // Device-matrix accounting: which classes this host serves and how many
-    // of them needed viewport/loss-path treatment (per-class names are few,
-    // so the registry lookup per admission is fine).
-    const DeviceProfile& prof = sessions_.back()->profile;
-    MetricsRegistry::Get()
-        .GetCounter(std::string("device.admitted.") +
-                    DeviceClassName(prof.klass))
-        ->Inc();
-    if (prof.screen_width > 0 && prof.screen_height > 0 &&
-        (prof.screen_width != options_.screen_width ||
-         prof.screen_height != options_.screen_height)) {
-      static Counter* viewports =
-          MetricsRegistry::Get().GetCounter("device.viewport_negotiations");
-      viewports->Inc();
-    }
-    if (prof.lossy) {
-      static Counter* lossy_paths =
-          MetricsRegistry::Get().GetCounter("device.lossy_paths");
-      lossy_paths->Inc();
-    }
-  }
-  return Admission::kAdmitted;
-}
-
-CpuAccount* FleetHost::AttachTransport(FleetSession* s, int64_t weight,
-                                       bool local) {
-  s->wire = nullptr;
-  if (local) {
-    // Co-located session: frames reach the client as ref-counted loopback
-    // handoffs (never through the NIC), and the client decodes on the host
-    // CPU — it IS the host.
-    s->transport =
-        std::make_unique<LoopbackTransport>(loop_, &host_cpu_, options_.loopback);
-    return &host_cpu_;
-  }
-  // The profile may override the per-session link (a phone's WAN path is
-  // not the datacenter default) and swap the clean wire for a lossy one.
-  const LinkParams link = s->profile.link.value_or(options_.link);
-  std::unique_ptr<Connection> wire;
-  if (s->profile.lossy) {
-    // Each session's loss process gets its own deterministic substream,
-    // derived from the session seed by the same bijective mix that keeps
-    // workload streams disjoint (constant tags the loss domain).
-    LossyOptions loss = s->profile.loss;
-    loss.seed = DeriveSessionSeed(s->seed, 0x10551ULL);
-    wire = std::make_unique<LossyTransport>(loop_, link, loss,
-                                            options_.send_buffer_bytes);
-  } else {
-    wire = std::make_unique<Connection>(loop_, link,
-                                        options_.send_buffer_bytes);
-  }
-  wire->AttachUplink(&nic_, weight);
-  s->wire = wire.get();
-  s->transport = std::move(wire);
-  if (s->client_cpu == nullptr) {
-    // Phones decode slower than the 1.0x reference terminal; the profile's
-    // factor scales the account for the session's lifetime (it migrates
-    // with the session).
-    s->client_cpu =
-        std::make_unique<CpuAccount>(loop_, s->profile.decode_speed);
-  }
-  return s->client_cpu.get();
-}
-
-void FleetHost::BindInputHandler(FleetSession* s) {
-  FleetSession* raw = s;
-  s->server->SetInputHandler([raw](Point p, int32_t button) {
-    raw->ws->InjectInput(p);
-    // Button 0 is a position-only event (cursor sync); only real clicks
-    // reach the application callback.
-    if (button > 0 && raw->input_fn) {
-      raw->input_fn(p);
-    }
-  });
+  static Gauge* count = MetricsRegistry::Get().GetGauge("fleet.sessions");
+  count->Set(static_cast<int64_t>(live_sessions_));
 }
 
 std::unique_ptr<FleetSession> FleetHost::ExtractSession(size_t id) {
@@ -245,15 +187,12 @@ std::unique_ptr<FleetSession> FleetHost::ExtractSession(size_t id) {
   // Park both endpoints: the reset notifies server and client through their
   // closed callbacks (on fresh loop events), after which the server holds
   // its virtual display state and the client its last applied frame.
-  if (!s->transport->closed()) {
-    s->transport->Reset();
-  }
+  s->session->Disconnect();
   admitted_cpu_us_per_sec_ -= s->demand.cpu_us_per_sec;
-  if (!s->local) {
-    admitted_nic_bytes_per_sec_ -= s->demand.nic_bytes_per_sec;
-  }
   if (s->local) {
     --local_count_;
+  } else {
+    admitted_nic_bytes_per_sec_ -= s->demand.nic_bytes_per_sec;
   }
   --live_sessions_;
   static Counter* out = MetricsRegistry::Get().GetCounter("fleet.migrated_out");
@@ -268,57 +207,21 @@ std::optional<size_t> FleetHost::InsertSession(
   if (!FitsHeadroom(s->demand, local)) {
     return std::nullopt;
   }
-  for (const auto& other : sessions_) {
-    THINC_CHECK_MSG(other == nullptr ||
-                        EffectiveSeed(other->seed) != EffectiveSeed(s->seed),
-                    "fleet sessions must not share a PRNG stream");
-  }
   const size_t id = sessions_.size();
   s->id = id;
   s->local = local;
-  // The old host's transport is spent; keep it alive (loop events and
-  // traces reference it) and build a fresh one on this host's resources.
-  if (s->transport != nullptr) {
-    s->retired.push_back(std::move(s->transport));
-  }
-  CpuAccount* client_cpu = AttachTransport(s, weight, local);
   // Move the whole server-side stack onto this host's CPU and payload pool
   // before any new work is charged, then resynchronize through the
   // reconnect protocol with the differential resync armed: the client's
   // renegotiation pulls only the region drawn since it provably matched the
   // screen.
-  s->server->RebindHost(&host_cpu_, &payloads_);
-  s->ws->set_cpu(&host_cpu_);
-  s->server->Attach(s->transport.get());
-  s->server->ArmDifferentialResync();
-  s->client->Attach(s->transport.get(), client_cpu);
-  admitted_cpu_us_per_sec_ += s->demand.cpu_us_per_sec;
-  if (!local) {
-    admitted_nic_bytes_per_sec_ += s->demand.nic_bytes_per_sec;
-  }
-  if (local) {
-    ++local_count_;
-  }
-  ++live_sessions_;
-  sessions_.push_back(std::move(*session));
+  s->session->RebindHost(&host_cpu_, &payloads_);
+  s->session->Rebind(SessionOptions(*s, weight, local).transport,
+                     /*differential_resync=*/true);
+  Install(std::move(*session));
   static Counter* in = MetricsRegistry::Get().GetCounter("fleet.migrated_in");
-  static Gauge* count = MetricsRegistry::Get().GetGauge("fleet.sessions");
   in->Inc();
-  count->Set(static_cast<int64_t>(live_sessions_));
   return id;
-}
-
-void FleetHost::ClientClick(size_t id, Point location) {
-  sessions_[id]->client->SendInput(location, /*button=*/1);
-}
-
-void FleetHost::SetInputCallback(size_t id, InputFn fn) {
-  sessions_[id]->input_fn = std::move(fn);
-}
-
-size_t FleetHost::FramebufferBytes() const {
-  return static_cast<size_t>(options_.screen_width) * options_.screen_height *
-         sizeof(Pixel);
 }
 
 void FleetHost::StartController(SimTime until) {
@@ -348,10 +251,10 @@ FleetHost::OverloadSignals FleetHost::ComputeOverloadSignals() const {
       // wire (its pressure shows up as CPU lag, not NIC lag).
       continue;
     }
-    socket_bytes += static_cast<int64_t>(
-        s->transport->SendBufferCapacity() -
-        s->transport->FreeSpace(Transport::kServer));
-    sched_bytes += static_cast<int64_t>(s->server->buffered_bytes());
+    const Transport* t = s->session->transport();
+    socket_bytes += static_cast<int64_t>(t->SendBufferCapacity() -
+                                         t->FreeSpace(Transport::kServer));
+    sched_bytes += static_cast<int64_t>(s->session->server()->buffered_bytes());
   }
   const SimTime wire_busy = std::max<SimTime>(0, nic_.busy_until() - now);
   auto drain_time = [this](int64_t bytes) {
@@ -428,13 +331,14 @@ void FleetHost::ControllerTick(SimTime until) {
       if (s == nullptr) {
         continue;  // migrated-out tombstone
       }
+      ThincServer* server = s->session->server();
       if (host_hot) {
         s->under_ticks = 0;
         if (++s->over_ticks >= options_.ticks_to_degrade) {
           s->over_ticks = 0;
-          const int level = s->server->degradation_level();
+          const int level = server->degradation_level();
           if (level < kMaxDegradationLevel) {
-            s->server->SetDegradationLevel(level + 1);
+            server->SetDegradationLevel(level + 1);
             downs->Inc();
           }
         }
@@ -446,16 +350,16 @@ void FleetHost::ControllerTick(SimTime until) {
         s->under_ticks = 0;
       } else {
         s->over_ticks = 0;
-        if (++s->under_ticks >= options_.ticks_to_restore) {
+        if (++s->under_ticks >= kTicksToRestore) {
           s->under_ticks = 0;
-          const int level = s->server->degradation_level();
+          const int level = server->degradation_level();
           if (level > 0) {
-            s->server->SetDegradationLevel(level - 1);
+            server->SetDegradationLevel(level - 1);
             ups->Inc();
           }
         }
       }
-      max_level = std::max(max_level, s->server->degradation_level());
+      max_level = std::max(max_level, server->degradation_level());
     }
     level_g->Set(max_level);
   }

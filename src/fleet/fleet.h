@@ -45,13 +45,9 @@
 #include <string>
 #include <vector>
 
-#include "src/core/thinc_client.h"
-#include "src/core/thinc_server.h"
+#include "src/core/thinc_session.h"
 #include "src/device/device.h"
-#include "src/display/window_server.h"
 #include "src/net/connection.h"
-#include "src/net/loopback.h"
-#include "src/net/lossy.h"
 #include "src/net/nic.h"
 #include "src/util/cpu.h"
 #include "src/util/event_loop.h"
@@ -96,11 +92,11 @@ struct FleetOptions {
   // link's bandwidth-delay product rather than the 256 KiB desktop default.
   size_t send_buffer_bytes = 256 << 10;
   // Overload controller: sampling period and per-session hysteresis (ticks
-  // of sustained pressure before degrading, calm ticks before restoring).
+  // of sustained pressure before degrading; kTicksToRestore calm ticks
+  // before restoring).
   bool degradation_enabled = true;
   SimTime control_interval = 100 * kMillisecond;
   int ticks_to_degrade = 2;
-  int ticks_to_restore = 10;
   // How far behind real time the shared CPU or NIC must run before the host
   // counts as overloaded. A transient page burst parks a bounded backlog
   // that drains within a burst time; genuine oversubscription grows the lag
@@ -110,20 +106,17 @@ struct FleetOptions {
   // a per-session name so Chrome traces get one pid per session).
   ThincServerOptions server_options;
   ThincClientOptions client_options;
-  // Transport for sessions added with local=true: co-located clients get a
-  // shared-memory LoopbackTransport instead of a wire (no NIC contention;
-  // handoffs and client decode charge the shared host CPU).
-  LoopbackOptions loopback;
   // Chrome-trace host-name prefix for per-session pids (the slot id is
   // appended). A cluster overrides it per host ("cluster-h2-session-") so
   // traces from many hosts stay distinguishable.
   std::string session_name_prefix = "fleet-session-";
 };
 
-// One admitted session's complete state: the full server/client stack plus
-// the identity (seed, PRNG stream, declared demand) that must survive a live
-// migration to another FleetHost. Owned by its current host; ExtractSession
-// releases it for a ClusterController to move.
+// One admitted session: the fleet identity (seed, PRNG stream, declared
+// demand, device profile, controller hysteresis) that must survive a live
+// migration to another FleetHost, and the THINC session it runs. Owned by
+// its current host; ExtractSession releases it for a ClusterController to
+// move.
 struct FleetSession {
   size_t id = 0;  // slot index on the CURRENT host (reassigned on insert)
   uint64_t seed = 0;
@@ -134,34 +127,20 @@ struct FleetSession {
   FleetSessionDemand demand;
   // The device this session serves. Travels with the session across
   // migrations: the destination host rebuilds the same kind of transport
-  // (lossy WAN for phones), reuses the profile's link override and decode
-  // speed, and the controller keeps applying the profile's ladder.
+  // (lossy WAN for phones) over the profile's link override, and the
+  // controller keeps applying the profile's ladder.
   DeviceProfile profile;
-  std::unique_ptr<Transport> transport;
-  Connection* wire = nullptr;  // transport downcast; null when local
-  // Transports retired by migration stay alive: scheduled loop events and
-  // readable traces still reference them.
-  std::vector<std::unique_ptr<Transport>> retired;
-  std::unique_ptr<ThincServer> server;
-  std::unique_ptr<WindowServer> ws;
-  // Remote clients decode on their own terminal (1.0x); null for local
-  // sessions, whose client shares the host CPU. Kept across migrations so a
-  // local->remote switch reuses the same terminal account.
-  std::unique_ptr<CpuAccount> client_cpu;
-  std::unique_ptr<ThincClient> client;
   Prng prng{1};
-  std::function<void(Point)> input_fn;
   // Controller hysteresis state (travels with the session: its degradation
   // level does too, and the new host's controller restores it when calm).
   int over_ticks = 0;
   int under_ticks = 0;
+  std::unique_ptr<ThincSession> session;
 };
 
 class FleetHost {
  public:
   enum class Admission { kAdmitted, kParked, kRejected };
-
-  using InputFn = std::function<void(Point)>;
 
   FleetHost(EventLoop* loop, FleetOptions options);
 
@@ -174,12 +153,8 @@ class FleetHost {
   // admission, and their client decodes on the shared host CPU (it IS the
   // host). Returns the outcome; ids are assigned densely in admission order.
   //
-  // `profile` describes the device the session serves (default: desktop,
-  // which reproduces the historical behaviour byte-for-byte). A non-desktop
-  // profile can override the per-session link, swap the wire for a lossy WAN
-  // path (deterministic per-session loss seed), scale the client's decode
-  // CPU, install a device-specific degradation schedule, and negotiate a
-  // smaller viewport at session start.
+  // `profile` describes the device the session serves (default: desktop;
+  // see ApplyProfile). A lossy path gets a per-session loss seed.
   Admission AddSession(const FleetSessionDemand& demand, int64_t weight = 1,
                        bool local = false, const DeviceProfile& profile = {});
 
@@ -238,13 +213,15 @@ class FleetHost {
   size_t parked_count() const { return parked_; }
   size_t rejected_count() const { return rejected_; }
 
-  ThincServer* server(size_t id) { return sessions_[id]->server.get(); }
-  ThincClient* client(size_t id) { return sessions_[id]->client.get(); }
-  WindowServer* window_server(size_t id) { return sessions_[id]->ws.get(); }
+  ThincServer* server(size_t id) { return thinc(id)->server(); }
+  ThincClient* client(size_t id) { return thinc(id)->client(); }
+  WindowServer* window_server(size_t id) { return thinc(id)->window_server(); }
   // The session's transport, whatever its kind.
-  Transport* transport(size_t id) { return sessions_[id]->transport.get(); }
+  Transport* transport(size_t id) { return thinc(id)->transport(); }
   // The wire connection of a remote session; null for local sessions.
-  Connection* connection(size_t id) { return sessions_[id]->wire; }
+  Connection* connection(size_t id) {
+    return dynamic_cast<Connection*>(transport(id));
+  }
   bool is_local(size_t id) const { return sessions_[id]->local; }
   size_t local_count() const { return local_count_; }
   // The session's device profile (desktop unless set at AddSession).
@@ -255,17 +232,17 @@ class FleetHost {
   Prng* prng(size_t id) { return &sessions_[id]->prng; }
   uint64_t session_seed(size_t id) const { return sessions_[id]->seed; }
   int degradation_level(size_t id) const {
-    return sessions_[id]->server->degradation_level();
+    return thinc(id)->server()->degradation_level();
   }
 
   // A click at session `id`'s client (traverses the network like any input).
-  void ClientClick(size_t id, Point location);
+  void ClientClick(size_t id, Point location) { thinc(id)->ClientClick(location); }
   // Application-side callback for session `id`'s real clicks (button > 0).
-  void SetInputCallback(size_t id, InputFn fn);
+  void SetInputCallback(size_t id, std::function<void(Point)> fn) {
+    thinc(id)->SetInputCallback(std::move(fn));
+  }
 
-  EventLoop* loop() { return loop_; }
   CpuAccount* host_cpu() { return &host_cpu_; }
-  NicScheduler* nic() { return &nic_; }
   const FleetOptions& options() const { return options_; }
 
   // Predicted capacity in sessions for `demand` (admission math, exposed so
@@ -273,16 +250,19 @@ class FleetHost {
   int PredictedCapacity(const FleetSessionDemand& demand) const;
 
  private:
+  // The THINC session in slot `id`.
+  ThincSession* thinc(size_t id) const { return sessions_[id]->session.get(); }
   bool FitsHeadroom(const FleetSessionDemand& demand, bool local) const;
-  // Builds the session's transport on this host (wire on the shared NIC, or
-  // loopback on the host CPU), stores it in `s`, and returns the CPU account
-  // its client decodes on.
-  CpuAccount* AttachTransport(FleetSession* s, int64_t weight, bool local);
-  // Wires the server's input handler to the session's window server and
-  // application callback.
-  void BindInputHandler(FleetSession* s);
+  // Session `s` as it runs on this host: the fleet's templates named for
+  // slot s.id, its device profile, and a transport on this host (the shared
+  // NIC with `weight`, or a loopback when `local`).
+  ThincSessionOptions SessionOptions(const FleetSession& s, int64_t weight,
+                                     bool local);
+  // Takes `s` into slot s.id: checks that no other session on this host
+  // shares its PRNG stream and adds its effective demand to the admission
+  // sums and counts.
+  void Install(std::unique_ptr<FleetSession> s);
   void ControllerTick(SimTime until);
-  size_t FramebufferBytes() const;
 
   EventLoop* loop_;
   FleetOptions options_;

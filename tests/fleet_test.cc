@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -271,51 +272,87 @@ TEST(FleetSharedCpuTest, SameTimestampContentionIsDeterministic) {
 
 // --- N=1 byte-identity with the non-fleet path -------------------------------
 
+// Both session owners apply a device profile the same way: a ThincSystem
+// and a one-session fleet serving the same device deliver the same trace,
+// end time and bytes.
 TEST(FleetTest, SingleSessionFleetMatchesThincSystemOnTheWire) {
-  LinkParams link{1'500'000, 100 * kMillisecond, 64 << 10, "wan"};
-  constexpr int32_t kW = 320, kH = 240;
+  struct Case {
+    const char* name;
+    std::optional<DeviceProfile> profile;  // unset: the profile-less system
+    LinkParams link;
+    int32_t width;
+    int32_t height;
+  };
+  const LinkParams wan{1'500'000, 100 * kMillisecond, 64 << 10, "wan"};
+  DeviceProfile clean_phone = SmartphoneProfile();
+  clean_phone.lossy = false;
+  DeviceProfile lossy_phone = SmartphoneProfile();
+  // The fleet seeds session 0's loss process from its own seed.
+  lossy_phone.loss.seed = FleetHost::DeriveSessionSeed(
+      FleetHost::DeriveSessionSeed(/*fleet_seed=*/1, 0), 0x10551);
+  const Case cases[] = {
+      {"desktop", std::nullopt, wan, 320, 240},
+      {"terminal", PiTerminalProfile(), wan, 320, 240},
+      {"phone", clean_phone, *clean_phone.link, 640, 480},
+      {"lossy phone", lossy_phone, *lossy_phone.link, 640, 480},
+  };
   constexpr int kPages = 3;
 
-  std::vector<TraceRecord> baseline;
-  SimTime baseline_end = 0;
-  {
-    EventLoop loop;
-    ThincSystem sys(&loop, link, kW, kH);
-    WebWorkload web(kW, kH, /*seed=*/7);
-    for (int i = 0; i < kPages; ++i) {
-      sys.ClientClick(web.LinkPosition(i));
-      web.RenderPage(sys.api(), i, sys.app_cpu());
-      loop.Run();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<TraceRecord> baseline;
+    SimTime baseline_end = 0;
+    uint64_t baseline_hash = 0;
+    {
+      EventLoop loop;
+      std::optional<ThincSystem> sys;
+      if (c.profile.has_value()) {
+        sys.emplace(&loop, *c.profile, c.link, c.width, c.height);
+      } else {
+        sys.emplace(&loop, c.link, c.width, c.height);
+      }
+      WebWorkload web(c.width, c.height, /*seed=*/7);
+      for (int i = 0; i < kPages; ++i) {
+        sys->ClientClick(web.LinkPosition(i));
+        web.RenderPage(sys->api(), i, sys->app_cpu());
+        loop.Run();
+      }
+      baseline = sys->connection()->TraceTo(Connection::kClient);
+      baseline_end = loop.now();
+      baseline_hash = sys->connection()->DeliveredHashTo(Connection::kClient);
     }
-    baseline = sys.connection()->TraceTo(Connection::kClient);
-    baseline_end = loop.now();
-  }
 
-  std::vector<TraceRecord> fleet_trace;
-  SimTime fleet_end = 0;
-  {
-    EventLoop loop;
-    FleetOptions fo;
-    fo.screen_width = kW;
-    fo.screen_height = kH;
-    fo.link = link;
-    FleetHost fleet(&loop, fo);
-    ASSERT_EQ(fleet.AddSession({}), FleetHost::Admission::kAdmitted);
-    WebWorkload web(kW, kH, /*seed=*/7);
-    for (int i = 0; i < kPages; ++i) {
-      fleet.ClientClick(0, web.LinkPosition(i));
-      web.RenderPage(fleet.window_server(0), i, fleet.host_cpu());
-      loop.Run();
+    std::vector<TraceRecord> fleet_trace;
+    SimTime fleet_end = 0;
+    uint64_t fleet_hash = 0;
+    {
+      EventLoop loop;
+      FleetOptions fo;
+      fo.screen_width = c.width;
+      fo.screen_height = c.height;
+      fo.link = c.link;
+      FleetHost fleet(&loop, fo);
+      ASSERT_EQ(fleet.AddSession({}, /*weight=*/1, /*local=*/false,
+                                 c.profile.value_or(DesktopProfile())),
+                FleetHost::Admission::kAdmitted);
+      WebWorkload web(c.width, c.height, /*seed=*/7);
+      for (int i = 0; i < kPages; ++i) {
+        fleet.ClientClick(0, web.LinkPosition(i));
+        web.RenderPage(fleet.window_server(0), i, fleet.host_cpu());
+        loop.Run();
+      }
+      fleet_trace = fleet.connection(0)->TraceTo(Connection::kClient);
+      fleet_end = loop.now();
+      fleet_hash = fleet.connection(0)->DeliveredHashTo(Connection::kClient);
     }
-    fleet_trace = fleet.connection(0)->TraceTo(Connection::kClient);
-    fleet_end = loop.now();
-  }
 
-  EXPECT_EQ(baseline_end, fleet_end);
-  ASSERT_EQ(baseline.size(), fleet_trace.size());
-  for (size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(baseline[i].time, fleet_trace[i].time) << "segment " << i;
-    EXPECT_EQ(baseline[i].bytes, fleet_trace[i].bytes) << "segment " << i;
+    EXPECT_EQ(baseline_end, fleet_end);
+    EXPECT_EQ(baseline_hash, fleet_hash);
+    ASSERT_EQ(baseline.size(), fleet_trace.size());
+    for (size_t i = 0; i < baseline.size(); ++i) {
+      EXPECT_EQ(baseline[i].time, fleet_trace[i].time) << "segment " << i;
+      EXPECT_EQ(baseline[i].bytes, fleet_trace[i].bytes) << "segment " << i;
+    }
   }
 }
 

@@ -195,7 +195,7 @@ TEST(RepeatedContentGolden, SharedSessionWithThreeViewers) {
   SharedSessionHost host(&loop, 320, 240);
   host.AddViewer(LanDesktopLink());
   // A co-located viewer on a quarter-size panel: every update is resampled.
-  host.AddLocalViewer()->client->RequestViewport(160, 120);
+  host.AddLocalViewer()->client()->RequestViewport(160, 120);
   WebWorkload web(320, 240, /*seed=*/4);
   for (int page = 0; page < 6; ++page) {
     loop.ScheduleAt(page * 700 * kMillisecond, [&host, &web, page] {
@@ -211,11 +211,11 @@ TEST(RepeatedContentGolden, SharedSessionWithThreeViewers) {
   Pinned got;
   Digest digest;
   for (size_t i = 0; i < host.viewer_count(); ++i) {
-    const Transport& conn = *host.viewer(i)->conn;
+    const Transport& conn = *host.viewer(i)->transport();
     if (i != 1) {
       int64_t diff = 0;
       EXPECT_TRUE(host.window_server()->screen().Equals(
-          host.viewer(i)->client->framebuffer(), &diff))
+          host.viewer(i)->client()->framebuffer(), &diff))
           << "viewer " << i << ": " << diff;
     }
     digest.AddTransport(conn);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/net/loopback.h"
 #include "src/util/prng.h"
 #include "src/workload/video.h"
 #include "src/workload/web.h"
@@ -32,9 +33,9 @@ TEST(SessionShareTest, TwoViewersConvergeIdentically) {
   DrawDesktop(host.window_server(), 1);
   loop.Run();
   int64_t diff = 0;
-  EXPECT_TRUE(host.window_server()->screen().Equals(a->client->framebuffer(), &diff))
+  EXPECT_TRUE(host.window_server()->screen().Equals(a->client()->framebuffer(), &diff))
       << diff;
-  EXPECT_TRUE(host.window_server()->screen().Equals(b->client->framebuffer(), &diff))
+  EXPECT_TRUE(host.window_server()->screen().Equals(b->client()->framebuffer(), &diff))
       << diff;
 }
 
@@ -48,10 +49,10 @@ TEST(SessionShareTest, LateJoinerCatchesUp) {
   loop.Run();  // the join refresh delivers the current screen
   int64_t diff = 0;
   EXPECT_TRUE(
-      host.window_server()->screen().Equals(late->client->framebuffer(), &diff))
+      host.window_server()->screen().Equals(late->client()->framebuffer(), &diff))
       << diff << " pixels differ for the late joiner";
   EXPECT_TRUE(
-      host.window_server()->screen().Equals(early->client->framebuffer(), &diff));
+      host.window_server()->screen().Equals(early->client()->framebuffer(), &diff));
 }
 
 TEST(SessionShareTest, LateJoinerSeesSubsequentOffscreenContent) {
@@ -71,7 +72,7 @@ TEST(SessionShareTest, LateJoinerSeesSubsequentOffscreenContent) {
   ws->FreePixmap(pm);
   loop.Run();
   int64_t diff = 0;
-  EXPECT_TRUE(ws->screen().Equals(late->client->framebuffer(), &diff)) << diff;
+  EXPECT_TRUE(ws->screen().Equals(late->client()->framebuffer(), &diff)) << diff;
 }
 
 TEST(SessionShareTest, MixedViewportsScaleIndependently) {
@@ -79,19 +80,19 @@ TEST(SessionShareTest, MixedViewportsScaleIndependently) {
   SharedSessionHost host(&loop, 256, 192);
   auto* desktop = host.AddViewer(LanDesktopLink());
   auto* pda = host.AddViewer(Pda80211gLink());
-  pda->client->RequestViewport(64, 48);
+  pda->client()->RequestViewport(64, 48);
   loop.Run();
   DrawDesktop(host.window_server(), 3);
   loop.Run();
-  EXPECT_EQ(desktop->client->framebuffer().width(), 256);
-  EXPECT_EQ(pda->client->framebuffer().width(), 64);
+  EXPECT_EQ(desktop->client()->framebuffer().width(), 256);
+  EXPECT_EQ(pda->client()->framebuffer().width(), 64);
   // Desktop viewer is pixel-exact; PDA viewer shows scaled content (red box
   // at 100,90 scaled by 1/4 -> ~25,23).
   int64_t diff = 0;
   EXPECT_TRUE(
-      host.window_server()->screen().Equals(desktop->client->framebuffer(), &diff))
+      host.window_server()->screen().Equals(desktop->client()->framebuffer(), &diff))
       << diff;
-  Pixel scaled = pda->client->framebuffer().At(28, 24);
+  Pixel scaled = pda->client()->framebuffer().At(28, 24);
   EXPECT_GT(PixelR(scaled), 120);
   EXPECT_LT(PixelG(scaled), 120);
 }
@@ -103,8 +104,8 @@ TEST(SessionShareTest, InputFromAnyViewerReachesApplication) {
   auto* b = host.AddViewer(WanDesktopLink());
   std::vector<Point> clicks;
   host.SetInputCallback([&](Point p) { clicks.push_back(p); });
-  a->client->SendInput(Point{1, 2}, 1);
-  b->client->SendInput(Point{3, 4}, 1);
+  a->client()->SendInput(Point{1, 2}, 1);
+  b->client()->SendInput(Point{3, 4}, 1);
   loop.Run();
   ASSERT_EQ(clicks.size(), 2u);
   EXPECT_EQ(clicks[0], (Point{1, 2}));
@@ -124,7 +125,7 @@ TEST(SessionShareTest, ViewerRemovalLeavesOthersRunning) {
                                  MakePixel(5, 5, 5));
   loop.Run();
   int64_t diff = 0;
-  EXPECT_TRUE(host.window_server()->screen().Equals(b->client->framebuffer(), &diff))
+  EXPECT_TRUE(host.window_server()->screen().Equals(b->client()->framebuffer(), &diff))
       << diff;
 }
 
@@ -143,17 +144,17 @@ TEST(SessionShareTest, VideoStreamsReachAllViewersIncludingLateJoin) {
   loop.Schedule(kSecond / 2, [&] { late = host.AddViewer(LanDesktopLink()); });
   video.Start();
   loop.Run();
-  EXPECT_EQ(static_cast<int32_t>(early->client->video_frames().size()),
+  EXPECT_EQ(static_cast<int32_t>(early->client()->video_frames().size()),
             video.total_frames());
   ASSERT_NE(late, nullptr);
   // The late joiner received roughly the second half of the stream.
-  EXPECT_GT(late->client->video_frames().size(), 6u);
-  EXPECT_LT(late->client->video_frames().size(),
+  EXPECT_GT(late->client()->video_frames().size(), 6u);
+  EXPECT_LT(late->client()->video_frames().size(),
             static_cast<size_t>(video.total_frames()));
   // And both framebuffers show the final frame.
   int64_t diff = 0;
   EXPECT_TRUE(host.window_server()->screen().Equals(
-      late->client->framebuffer(), &diff))
+      late->client()->framebuffer(), &diff))
       << diff;
 }
 
@@ -165,8 +166,8 @@ TEST(SessionShareTest, AudioBroadcastToAll) {
   std::vector<uint8_t> pcm(4096, 0x11);
   host.SubmitAudio(pcm, loop.now());
   loop.Run();
-  EXPECT_EQ(a->client->audio_chunks().size(), 1u);
-  EXPECT_EQ(b->client->audio_chunks().size(), 1u);
+  EXPECT_EQ(a->client()->audio_chunks().size(), 1u);
+  EXPECT_EQ(b->client()->audio_chunks().size(), 1u);
 }
 
 TEST(SessionShareTest, RandomWorkloadManyViewers) {
@@ -200,7 +201,7 @@ TEST(SessionShareTest, RandomWorkloadManyViewers) {
   loop.Run();
   for (size_t i = 0; i < viewers.size(); ++i) {
     int64_t diff = 0;
-    EXPECT_TRUE(ws->screen().Equals(viewers[i]->client->framebuffer(), &diff))
+    EXPECT_TRUE(ws->screen().Equals(viewers[i]->client()->framebuffer(), &diff))
         << "viewer " << i << ": " << diff;
   }
 }
@@ -233,11 +234,32 @@ TEST(SessionShareTest, EncodedFramesSharedAcrossViewers) {
   EXPECT_GE(stats.frame_cache_hits + stats.payload_encode_hits, 2);
   for (size_t i = 0; i < viewers.size(); ++i) {
     int64_t diff = 0;
-    EXPECT_TRUE(ws->screen().Equals(viewers[i]->client->framebuffer(), &diff))
+    EXPECT_TRUE(ws->screen().Equals(viewers[i]->client()->framebuffer(), &diff))
         << "viewer " << i << ": " << diff;
   }
 }
 
+
+TEST(SessionShareTest, ViewerRemovedMidFlightStaysAliveForItsEvents) {
+  // The removed viewer's frames are still on its wire: loop events point
+  // into its transport, server and client, so removal must disconnect the
+  // viewer and keep it alive, never destroy it (under ASan, destroying it
+  // was a heap-use-after-free in the wire's delivery event).
+  EventLoop loop;
+  SharedSessionHost host(&loop, 200, 150);
+  auto* lan = host.AddViewer(LanDesktopLink());
+  auto* wan = host.AddViewer(WanDesktopLink());
+  DrawDesktop(host.window_server(), 4);
+  loop.RunUntil(loop.now() + 5 * kMillisecond);
+  host.RemoveViewer(wan);
+  EXPECT_EQ(host.viewer_count(), 1u);
+  EXPECT_TRUE(wan->transport()->closed());
+  loop.Run();
+  int64_t diff = 0;
+  EXPECT_TRUE(
+      host.window_server()->screen().Equals(lan->client()->framebuffer(), &diff))
+      << diff;
+}
 
 TEST(SessionShareTest, LocalViewerConvergesByReference) {
   EventLoop loop;
@@ -246,21 +268,21 @@ TEST(SessionShareTest, LocalViewerConvergesByReference) {
   // a same-host handoff has nothing to snoop anyway.
   ThincServerOptions so;
   so.encrypt = false;
-  auto* local = host.AddLocalViewer({}, so);
+  auto* local = host.AddLocalViewer(so);
   auto* remote = host.AddViewer(LanDesktopLink(), so);
   DrawDesktop(host.window_server(), 6);
   loop.Run();
   int64_t diff = 0;
   EXPECT_TRUE(
-      host.window_server()->screen().Equals(local->client->framebuffer(), &diff))
+      host.window_server()->screen().Equals(local->client()->framebuffer(), &diff))
       << diff;
   EXPECT_TRUE(
-      host.window_server()->screen().Equals(remote->client->framebuffer(), &diff))
+      host.window_server()->screen().Equals(remote->client()->framebuffer(), &diff))
       << diff;
   // The co-located client decodes on the shared host CPU, not a terminal's.
-  EXPECT_EQ(local->client_cpu, nullptr);
-  ASSERT_EQ(local->conn->kind(), TransportKind::kLoopback);
-  auto* lb = static_cast<LoopbackTransport*>(local->conn.get());
+  EXPECT_EQ(local->device_cpu(), nullptr);
+  ASSERT_EQ(local->transport()->kind(), TransportKind::kLoopback);
+  auto* lb = static_cast<LoopbackTransport*>(local->transport());
   EXPECT_GT(lb->SharedBytesFrom(Transport::kServer), 0)
       << "frames must reach the local viewer by reference";
   EXPECT_EQ(lb->CopiedBytesFrom(Transport::kServer), 0)

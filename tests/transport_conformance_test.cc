@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -419,8 +420,19 @@ uint64_t RunScriptedSession(TransportKind kind, int cores,
                             const LossyOptions& loss = {},
                             int64_t* lost_out = nullptr) {
   EventLoop loop;
-  ThincSystem sys(&loop, LanDesktopLink(), 128, 96, ThincServerOptions{},
-                  ThincClientOptions{}, cores, kind, loss);
+  // A lossy path comes from a device profile: the desktop over `loss`.
+  DeviceProfile lossy_desktop;
+  lossy_desktop.lossy = true;
+  lossy_desktop.loss = loss;
+  std::optional<ThincSystem> built;
+  if (kind == TransportKind::kLossy) {
+    built.emplace(&loop, lossy_desktop, LanDesktopLink(), 128, 96,
+                  ThincServerOptions{}, ThincClientOptions{}, cores);
+  } else {
+    built.emplace(&loop, LanDesktopLink(), 128, 96, ThincServerOptions{},
+                  ThincClientOptions{}, cores, kind);
+  }
+  ThincSystem& sys = *built;
   WindowServer* ws = sys.window_server();
   Prng rng(11);
   for (int step = 0; step < 5; ++step) {
