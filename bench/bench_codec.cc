@@ -153,16 +153,16 @@ struct RungResult {
 RungResult RunRung(int level, int pages) {
   RungResult r;
   r.level = level;
-  ThincServerOptions so;
-  so.adapt.enabled = true;
-  so.initial_degradation_level = level;
-  const WebRunResult web = RunThincWebVariant(LanDesktopConfig(), so, pages);
+  ExperimentConfig config = LanDesktopConfig();
+  config.thinc_options.adapt.enabled = true;
+  config.thinc_options.initial_degradation_level = level;
+  const WebRunResult web = RunWebBenchmark(SystemKind::kThinc, config, pages);
   r.web_page_kb = web.AvgPageKb();
   r.web_latency_ms = web.AvgLatencyMs(false);
-  // The A/V columns come from the variant runner so the rung applies there
-  // too (decimation at 1+, fidelity subsampling at 3+).
+  // The rung applies to the A/V run too (decimation at 1+, fidelity
+  // subsampling at 3+).
   const AvRunResult av =
-      RunThincAvVariant(LanDesktopConfig(), so, BenchClipDuration());
+      RunAvBenchmark(SystemKind::kThinc, config, BenchClipDuration());
   r.av_quality = av.quality;
   r.av_bytes = av.bytes;
   r.desktop = RunDesktop(LanDesktopLink(), /*adapt=*/true, level, /*rounds=*/8,

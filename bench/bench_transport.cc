@@ -32,6 +32,7 @@
 #include "src/fleet/fleet.h"
 #include "src/net/loopback.h"
 #include "src/telemetry/telemetry.h"
+#include "src/util/buffer.h"
 #include "src/util/logging.h"
 #include "src/workload/web.h"
 
@@ -47,7 +48,6 @@ int64_t LoopbackCounter(const char* name) {
 
 struct ColocatedArm {
   WebRunResult web;
-  SimTime server_cpu_busy = 0;
   // BufferStats delta across the run (includes workload/raster copies, the
   // same on both arms; the transport is the only thing that changes).
   int64_t copied_bytes = 0;
@@ -61,15 +61,11 @@ ColocatedArm RunColocatedArm(TransportKind kind, int pages) {
   MetricsRegistry::Get().ResetAll();
   ExperimentConfig config =
       kind == TransportKind::kWire ? LanDesktopConfig() : LocalLoopbackConfig();
-  ThincServerOptions options;
-  options.encrypt = false;
-  ThincVariantExtras extras;
+  config.thinc_options.encrypt = false;
   const BufferStats before = BufferStats::Get();
   ColocatedArm arm;
-  arm.web = RunThincWebVariant(config, options, pages, /*skip_viewport=*/false,
-                               &extras);
+  arm.web = RunWebBenchmark(SystemKind::kThinc, config, pages);
   arm.copied_bytes = BufferStats::Get().copied_bytes - before.copied_bytes;
-  arm.server_cpu_busy = extras.server_cpu_busy;
   arm.handoffs = LoopbackCounter("transport.loopback.handoffs");
   arm.payload_bytes = LoopbackCounter("transport.loopback.payload_bytes");
   arm.payload_copied_bytes =
@@ -256,11 +252,11 @@ int main(int argc, char** argv) {
               "page_KB", "srv_cpu_ms", "copied_bytes", "payload_copy");
   std::printf("%-10s %12.1f %12.1f %14.1f %16lld %14s\n", "wire",
               wire.web.AvgLatencyMs(false), wire.web.AvgPageKb(),
-              static_cast<double>(wire.server_cpu_busy) / kMillisecond,
+              static_cast<double>(wire.web.server_cpu_busy) / kMillisecond,
               static_cast<long long>(wire.copied_bytes), "n/a");
   std::printf("%-10s %12.1f %12.1f %14.1f %16lld %14lld\n", "loopback",
               local.web.AvgLatencyMs(false), local.web.AvgPageKb(),
-              static_cast<double>(local.server_cpu_busy) / kMillisecond,
+              static_cast<double>(local.web.server_cpu_busy) / kMillisecond,
               static_cast<long long>(local.copied_bytes),
               static_cast<long long>(local.payload_copied_bytes));
   std::printf("loopback: %lld handoffs, %lld payload bytes by reference, "
@@ -305,7 +301,7 @@ int main(int argc, char** argv) {
                  "    \"wire\": {\"latency_ms\": %.3f, \"page_kb\": %.3f, "
                  "\"server_cpu_us\": %lld, \"copied_bytes\": %lld},\n",
                  wire.web.AvgLatencyMs(false), wire.web.AvgPageKb(),
-                 static_cast<long long>(wire.server_cpu_busy),
+                 static_cast<long long>(wire.web.server_cpu_busy),
                  static_cast<long long>(wire.copied_bytes));
     std::fprintf(f,
                  "    \"loopback\": {\"latency_ms\": %.3f, \"page_kb\": %.3f, "
@@ -313,7 +309,7 @@ int main(int argc, char** argv) {
                  "\"handoffs\": %lld, \"payload_bytes\": %lld, "
                  "\"payload_copied_bytes\": %lld}\n  },\n",
                  local.web.AvgLatencyMs(false), local.web.AvgPageKb(),
-                 static_cast<long long>(local.server_cpu_busy),
+                 static_cast<long long>(local.web.server_cpu_busy),
                  static_cast<long long>(local.copied_bytes),
                  static_cast<long long>(local.handoffs),
                  static_cast<long long>(local.payload_bytes),

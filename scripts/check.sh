@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Pre-merge gate: tier-1 correctness plus a sanitizer pass over the
-# buffer/command/connection surface touched by the zero-copy data path.
+# Pre-merge gate: tier-1 correctness, the bench smokes, the paper golden,
+# and the full test suite under the sanitizers.
 #
-#   1. Configure+build the `default` preset and run the full test suite
-#      (the tier-1 bar: everything must pass).
+#   1. Configure+build the `default` preset, run the full test suite (the
+#      tier-1 bar: everything must pass), the bench smokes, and bench_paper
+#      against its golden stdout (bench/golden/paper.txt).
 #   2. Configure+build the `sanitize` preset (ASan+UBSan, build-asan/) and
 #      run the full test suite under the sanitizers.
 #
@@ -73,6 +74,14 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   # its Gilbert-Elliott WAN path actually dropped segments.
   echo "== device smoke: bench_devices --smoke =="
   ./build/bench/bench_devices --smoke
+
+  # Paper golden: bench_paper runs every Section 8 table, figure and
+  # ablation once (THINC_CHECKing the paper's shape claims on the way) and
+  # its stdout must equal bench/golden/paper.txt byte for byte. The env
+  # knobs are cleared so the run covers the full suite and default clip.
+  echo "== paper golden: bench_paper vs bench/golden/paper.txt =="
+  (cd build/bench && env -u THINC_WEB_PAGES -u THINC_AV_FULL ./bench_paper) |
+    diff -u bench/golden/paper.txt -
 fi
 
 if [[ "$RUN_SANITIZE" == 1 ]]; then

@@ -30,7 +30,7 @@
 namespace thinc {
 
 struct SchedulerOptions {
-  // Ablation knob (bench_ablation_scheduler): single FIFO queue instead of
+  // Ablation knob (bench_paper's A2): single FIFO queue instead of
   // SRSF bands.
   bool fifo = false;
   // Real-time region half-size around the last input event, and how long an

@@ -98,7 +98,7 @@ std::unique_ptr<RemoteDisplaySystem> MakeSystem(SystemKind kind, EventLoop* loop
   const int32_t h = config.screen_height;
   switch (kind) {
     case SystemKind::kThinc:
-      return std::make_unique<ThincSystem>(loop, link, w, h, ThincServerOptions{},
+      return std::make_unique<ThincSystem>(loop, link, w, h, config.thinc_options,
                                            ThincClientOptions{},
                                            /*server_cpu_cores=*/1,
                                            config.transport);
@@ -171,17 +171,50 @@ double WebRunResult::AvgPageKb() const {
 
 namespace {
 
-// Drives the 54-page click-render-measure cycle against an assembled
-// system (the body shared by RunWebBenchmark and the THINC variants).
-WebRunResult RunWebOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys_raw,
-                      const std::string& system_name,
-                      const ExperimentConfig& config, int32_t page_count) {
-  EventLoop& loop = *loop_ptr;
-  RemoteDisplaySystem* sys = sys_raw;
+// Mean per-update stage times over the completed spans in spans[from..].
+StageBreakdown SummarizeSpans(const std::vector<UpdateSpan>& spans, size_t from) {
+  StageBreakdown sb;
+  for (size_t s = from; s < spans.size(); ++s) {
+    const UpdateSpan& span = spans[s];
+    if (!span.completed()) {
+      continue;  // evicted before sending, or still buffered
+    }
+    sb.queue_ms += static_cast<double>(span.picked.ts - span.queued.ts);
+    sb.encode_ms += static_cast<double>(span.encode_us);
+    sb.send_ms += static_cast<double>(span.commit_last.ts - span.commit_first.ts);
+    sb.network_ms += static_cast<double>(span.delivered.ts - span.commit_last.ts);
+    sb.decode_ms += static_cast<double>(span.damaged.ts - span.delivered.ts);
+    sb.total_ms += static_cast<double>(span.damaged.ts - span.queued.ts);
+    sb.wire_bytes += span.wire_bytes;
+    if (span.encode_cache_hit) {
+      ++sb.encode_cache_hits;
+    }
+    ++sb.updates;
+  }
+  if (sb.updates > 0) {
+    const double n = static_cast<double>(sb.updates) * kMillisecond;
+    sb.queue_ms /= n;
+    sb.encode_ms /= n;
+    sb.send_ms /= n;
+    sb.network_ms /= n;
+    sb.decode_ms /= n;
+    sb.total_ms /= n;
+  }
+  return sb;
+}
+
+// Builds `kind` for `config` and drives the 54-page click-render-measure
+// cycle against it. When `stages` is non-null, the spans created between
+// each page's click and its quiescence are summarized into it per page.
+WebRunResult RunWeb(SystemKind kind, const ExperimentConfig& config,
+                    int32_t page_count, std::vector<StageBreakdown>* stages) {
+  EventLoop loop;
+  std::unique_ptr<RemoteDisplaySystem> sys = MakeSystem(kind, &loop, config);
+  ApplyViewport(kind, sys.get(), config, &loop);
   WebWorkload workload(config.screen_width, config.screen_height);
 
   int32_t current_page = 0;
-  RemoteDisplaySystem* sys_ptr = sys;
+  RemoteDisplaySystem* sys_ptr = sys.get();
   const WebWorkload* wl = &workload;
   sys->SetInputCallback([sys_ptr, wl, &current_page](Point) {
     // The browser fetches the page content, then lays out and renders.
@@ -190,13 +223,15 @@ WebRunResult RunWebOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys_raw,
   });
 
   WebRunResult result;
-  result.system = system_name;
+  result.system = SystemName(kind);
   result.config = config.name;
   page_count = std::min<int32_t>(page_count, workload.page_count());
+  const std::vector<UpdateSpan>& spans = Telemetry::Get().spans();
   for (int32_t i = 0; i < page_count; ++i) {
     // Idle gap between pages so downloads are unambiguous in the trace.
     loop.RunUntil(loop.now() + 300 * kMillisecond);
     current_page = i;
+    const size_t span_mark = spans.size();
     const SimTime t0 = loop.now();
     const int64_t b0 = sys->BytesToClient();
     sys->ClientClick(workload.LinkPosition(i));
@@ -208,7 +243,11 @@ WebRunResult RunWebOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys_raw,
     page.latency_with_client_ms = static_cast<double>(all_done - t0) / kMillisecond;
     page.bytes = sys->BytesToClient() - b0;
     result.pages.push_back(page);
+    if (stages != nullptr) {
+      stages->push_back(SummarizeSpans(spans, span_mark));
+    }
   }
+  result.server_cpu_busy = sys->app_cpu()->total_busy();
   return result;
 }
 
@@ -216,34 +255,10 @@ WebRunResult RunWebOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys_raw,
 
 WebRunResult RunWebBenchmark(SystemKind kind, const ExperimentConfig& config,
                              int32_t page_count) {
-  EventLoop loop;
-  std::unique_ptr<RemoteDisplaySystem> sys = MakeSystem(kind, &loop, config);
-  ApplyViewport(kind, sys.get(), config, &loop);
-  return RunWebOn(&loop, sys.get(), SystemName(kind), config, page_count);
-}
-
-WebRunResult RunThincWebVariant(const ExperimentConfig& config,
-                                const ThincServerOptions& options,
-                                int32_t page_count, bool skip_viewport,
-                                ThincVariantExtras* extras) {
-  EventLoop loop;
-  ThincSystem sys(&loop, config.link, config.screen_width, config.screen_height,
-                  options, ThincClientOptions{}, /*server_cpu_cores=*/1,
-                  config.transport);
-  if (!skip_viewport && config.viewport.has_value()) {
-    sys.SetViewport(config.viewport->x, config.viewport->y);
-    loop.Run();
-  }
-  WebRunResult result = RunWebOn(&loop, &sys, "THINC*", config, page_count);
-  if (extras != nullptr) {
-    extras->server_cpu_busy = sys.app_cpu()->total_busy();
-    extras->video_frames_dropped = sys.server()->video_frames_dropped();
-  }
-  return result;
+  return RunWeb(kind, config, page_count, /*stages=*/nullptr);
 }
 
 WebBreakdownResult RunThincWebBreakdown(const ExperimentConfig& config,
-                                        const ThincServerOptions& options,
                                         int32_t page_count,
                                         const std::string& trace_json_path) {
   Telemetry& telemetry = Telemetry::Get();
@@ -254,78 +269,8 @@ WebBreakdownResult RunThincWebBreakdown(const ExperimentConfig& config,
   telemetry.Configure(tcfg);
   telemetry.ResetRuntime();
 
-  // Mirrors RunWebOn, with per-page span watermarks: every span created
-  // between a page's click and its quiescence belongs to that page.
-  EventLoop loop;
-  ThincSystem sys(&loop, config.link, config.screen_width, config.screen_height,
-                  options, ThincClientOptions{}, /*server_cpu_cores=*/1,
-                  config.transport);
-  if (config.viewport.has_value()) {
-    sys.SetViewport(config.viewport->x, config.viewport->y);
-    loop.Run();
-  }
-  WebWorkload workload(config.screen_width, config.screen_height);
-  int32_t current_page = 0;
-  sys.SetInputCallback([&sys, &workload, &current_page](Point) {
-    sys.FetchContent(workload.page(current_page).content_bytes);
-    workload.RenderPage(sys.api(), current_page, sys.app_cpu());
-  });
-
   WebBreakdownResult result;
-  result.web.system = "THINC*";
-  result.web.config = config.name;
-  page_count = std::min<int32_t>(page_count, workload.page_count());
-  for (int32_t i = 0; i < page_count; ++i) {
-    loop.RunUntil(loop.now() + 300 * kMillisecond);
-    current_page = i;
-    const size_t span_mark = telemetry.spans().size();
-    const SimTime t0 = loop.now();
-    const int64_t b0 = sys.BytesToClient();
-    sys.ClientClick(workload.LinkPosition(i));
-    loop.Run();
-
-    PageResult page;
-    const SimTime net_done = std::max(t0, sys.LastDeliveryToClient());
-    const SimTime all_done = std::max(net_done, sys.ClientLastProcessedAt());
-    page.latency_ms = static_cast<double>(net_done - t0) / kMillisecond;
-    page.latency_with_client_ms =
-        static_cast<double>(all_done - t0) / kMillisecond;
-    page.bytes = sys.BytesToClient() - b0;
-    result.web.pages.push_back(page);
-
-    StageBreakdown sb;
-    const std::vector<UpdateSpan>& spans = telemetry.spans();
-    for (size_t s = span_mark; s < spans.size(); ++s) {
-      const UpdateSpan& span = spans[s];
-      if (!span.completed()) {
-        continue;  // evicted before sending, or still buffered
-      }
-      sb.queue_ms += static_cast<double>(span.picked.ts - span.queued.ts);
-      sb.encode_ms += static_cast<double>(span.encode_us);
-      sb.send_ms +=
-          static_cast<double>(span.commit_last.ts - span.commit_first.ts);
-      sb.network_ms +=
-          static_cast<double>(span.delivered.ts - span.commit_last.ts);
-      sb.decode_ms += static_cast<double>(span.damaged.ts - span.delivered.ts);
-      sb.total_ms += static_cast<double>(span.damaged.ts - span.queued.ts);
-      sb.wire_bytes += span.wire_bytes;
-      if (span.encode_cache_hit) {
-        ++sb.encode_cache_hits;
-      }
-      ++sb.updates;
-    }
-    if (sb.updates > 0) {
-      const double n = static_cast<double>(sb.updates) * kMillisecond;
-      sb.queue_ms /= n;
-      sb.encode_ms /= n;
-      sb.send_ms /= n;
-      sb.network_ms /= n;
-      sb.decode_ms /= n;
-      sb.total_ms /= n;
-    }
-    result.pages.push_back(sb);
-  }
-
+  result.web = RunWeb(SystemKind::kThinc, config, page_count, &result.pages);
   if (!trace_json_path.empty()) {
     result.trace_written = telemetry.WriteChromeTrace(trace_json_path);
   }
@@ -344,14 +289,11 @@ SimTime BenchClipDuration() {
   return static_cast<SimTime>(8.6875 * kSecond);
 }
 
-namespace {
-
-// Drives the A/V playback cycle against an assembled system (the body
-// shared by RunAvBenchmark and the THINC variants).
-AvRunResult RunAvOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys,
-                    const std::string& system_name, const ExperimentConfig& config,
-                    SimTime duration, bool with_audio, bool fetch_media_stream) {
-  EventLoop& loop = *loop_ptr;
+AvRunResult RunAvBenchmark(SystemKind kind, const ExperimentConfig& config,
+                           SimTime duration) {
+  EventLoop loop;
+  std::unique_ptr<RemoteDisplaySystem> sys = MakeSystem(kind, &loop, config);
+  ApplyViewport(kind, sys.get(), config, &loop);
   const Rect screen{0, 0, config.screen_width, config.screen_height};
   sys->SetVideoProbeRect(screen);
 
@@ -361,7 +303,7 @@ AvRunResult RunAvOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys,
   VideoSource video(&loop, sys->api(), sys->app_cpu(), vo);
 
   // The local PC streams the encoded media (~1.2 Mbps) from the server.
-  if (fetch_media_stream) {
+  if (kind == SystemKind::kLocalPc) {
     const int64_t stream_bytes =
         static_cast<int64_t>(1.2e6 / 8.0 * (static_cast<double>(duration) / kSecond));
     sys->FetchContent(stream_bytes);
@@ -376,14 +318,14 @@ AvRunResult RunAvOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys,
   const SimTime t0 = loop.now();
   const int64_t b0 = sys->BytesToClient();
   video.Start();
-  const bool audio_active = with_audio && sys->SupportsAudio();
+  const bool audio_active = sys->SupportsAudio();
   if (audio_active) {
     audio.StartStream(duration);
   }
   loop.Run();
 
   AvRunResult result;
-  result.system = system_name;
+  result.system = SystemName(kind);
   result.config = config.name;
   result.frames_total = video.total_frames();
   const std::vector<SimTime>& frames = sys->VideoFrameTimes();
@@ -416,37 +358,7 @@ AvRunResult RunAvOn(EventLoop* loop_ptr, RemoteDisplaySystem* sys,
                                          static_cast<double>(expected))
                      : 0;
   }
-  return result;
-}
-
-}  // namespace
-
-AvRunResult RunAvBenchmark(SystemKind kind, const ExperimentConfig& config,
-                           SimTime duration, bool with_audio) {
-  EventLoop loop;
-  std::unique_ptr<RemoteDisplaySystem> sys = MakeSystem(kind, &loop, config);
-  ApplyViewport(kind, sys.get(), config, &loop);
-  return RunAvOn(&loop, sys.get(), SystemName(kind), config, duration, with_audio,
-                 /*fetch_media_stream=*/kind == SystemKind::kLocalPc);
-}
-
-AvRunResult RunThincAvVariant(const ExperimentConfig& config,
-                              const ThincServerOptions& options, SimTime duration,
-                              bool skip_viewport, ThincVariantExtras* extras) {
-  EventLoop loop;
-  ThincSystem sys(&loop, config.link, config.screen_width, config.screen_height,
-                  options, ThincClientOptions{}, /*server_cpu_cores=*/1,
-                  config.transport);
-  if (!skip_viewport && config.viewport.has_value()) {
-    sys.SetViewport(config.viewport->x, config.viewport->y);
-    loop.Run();
-  }
-  AvRunResult result = RunAvOn(&loop, &sys, "THINC*", config, duration,
-                               /*with_audio=*/true, /*fetch_media_stream=*/false);
-  if (extras != nullptr) {
-    extras->server_cpu_busy = sys.app_cpu()->total_busy();
-    extras->video_frames_dropped = sys.server()->video_frames_dropped();
-  }
+  result.server_cpu_busy = sys->app_cpu()->total_busy();
   return result;
 }
 

@@ -47,6 +47,11 @@ struct ExperimentConfig {
   // Wire (default) or same-host loopback; only the THINC system honors it
   // (baselines model remote-display products, which presume a wire).
   TransportKind transport = TransportKind::kWire;
+  // THINC server options (offscreen tracking, scheduler, push vs pull, RAW
+  // compression, ladder); only the THINC system reads them, the way only it
+  // reads `transport`. The ablations vary them; the paper cells keep the
+  // defaults.
+  ThincServerOptions thinc_options;
 };
 
 ExperimentConfig LanDesktopConfig();
@@ -98,6 +103,7 @@ struct WebRunResult {
   std::string system;
   std::string config;
   std::vector<PageResult> pages;
+  SimTime server_cpu_busy = 0;  // app_cpu() busy time (THINC: the server's)
 
   double AvgLatencyMs(bool with_client) const;
   double AvgPageKb() const;
@@ -119,34 +125,16 @@ struct AvRunResult {
   double bandwidth_mbps = 0;
   double audio_fraction = 0;     // delivered / expected PCM (0 if no audio)
   bool audio_supported = false;
+  SimTime server_cpu_busy = 0;   // app_cpu() busy time (THINC: the server's)
 };
 
-// `duration` defaults to the paper's full 34.75 s clip; benches use a
-// shorter clip unless THINC_AV_FULL=1 (quality is duration-normalized).
+// The paper's clip is 34.75 s; benches use a shorter clip unless
+// THINC_AV_FULL=1 (quality is duration-normalized).
 AvRunResult RunAvBenchmark(SystemKind kind, const ExperimentConfig& config,
-                           SimTime duration, bool with_audio = true);
+                           SimTime duration);
 
 // Benchmark clip duration honoring the THINC_AV_FULL environment switch.
 SimTime BenchClipDuration();
-
-// --- THINC variants (ablation benches) -----------------------------------------
-
-struct ThincVariantExtras {
-  SimTime server_cpu_busy = 0;  // total server CPU time consumed
-  int64_t video_frames_dropped = 0;
-};
-
-// Web / A/V runs with explicit THINC server options (offscreen tracking,
-// scheduler mode, push vs pull, RAW compression). `skip_viewport` suppresses
-// the PDA viewport negotiation, modelling a client with no resize support.
-WebRunResult RunThincWebVariant(const ExperimentConfig& config,
-                                const ThincServerOptions& options,
-                                int32_t page_count, bool skip_viewport = false,
-                                ThincVariantExtras* extras = nullptr);
-AvRunResult RunThincAvVariant(const ExperimentConfig& config,
-                              const ThincServerOptions& options, SimTime duration,
-                              bool skip_viewport = false,
-                              ThincVariantExtras* extras = nullptr);
 
 // --- Telemetry-instrumented web run (Fig. 2 latency breakdown) ------------------
 
@@ -178,7 +166,6 @@ struct WebBreakdownResult {
 // writes a Perfetto-loadable trace of the whole run there. The previous
 // telemetry configuration is restored before returning.
 WebBreakdownResult RunThincWebBreakdown(const ExperimentConfig& config,
-                                        const ThincServerOptions& options,
                                         int32_t page_count,
                                         const std::string& trace_json_path = "");
 

@@ -68,6 +68,18 @@ TEST(WebBenchmarkTest, ThincDegradesLittleLanToWan) {
   EXPECT_LT(wan.AvgLatencyMs(true), lan.AvgLatencyMs(true) * 1.8);
 }
 
+TEST(WebBenchmarkTest, ThincOptionsReachTheServer) {
+  // The ablations vary THINC through ExperimentConfig::thinc_options; with
+  // offscreen tracking off, offscreen-to-screen copies fall back to RAW.
+  ExperimentConfig no_tracking = LanDesktopConfig();
+  no_tracking.thinc_options.offscreen_tracking = false;
+  const WebRunResult on = RunWebBenchmark(SystemKind::kThinc, LanDesktopConfig(), 3);
+  const WebRunResult off = RunWebBenchmark(SystemKind::kThinc, no_tracking, 3);
+  ASSERT_EQ(off.pages.size(), 3u);
+  EXPECT_GT(off.AvgPageKb(), on.AvgPageKb());
+  EXPECT_GT(off.server_cpu_busy, on.server_cpu_busy);
+}
+
 TEST(WebBenchmarkTest, XDegradesBadlyLanToWan) {
   WebRunResult lan = RunWebBenchmark(SystemKind::kX, LanDesktopConfig(), 4);
   WebRunResult wan = RunWebBenchmark(SystemKind::kX, WanDesktopConfig(), 4);
