@@ -19,12 +19,11 @@
 //      must cut the p95 round latency vs intra-only.
 //
 // Emits BENCH_codec.json (virtual quantities only: byte-identical across
-// reruns). `--smoke` runs the scripts/check.sh gate: a short WAN A/B
-// THINC_CHECKing that deltas engage, save bytes, and lose nothing.
+// reruns). scripts/check.sh compares it with bench/golden/codec.json, which
+// pins the adaptation-on output.
 #include "bench/bench_common.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "src/baselines/thinc_system.h"
@@ -170,35 +169,9 @@ RungResult RunRung(int level, int pages) {
   return r;
 }
 
-// --- Smoke gate (scripts/check.sh) -------------------------------------------
-
-int RunSmoke() {
-  bench::PrintHeader("Codec smoke: WAN delta A/B gate",
-                     "(6 desktop repaints; delta must engage, save bytes, "
-                     "and lose nothing)");
-  DesktopRun on = RunDesktop(Wan100M(), /*adapt=*/true, 0, 6, 500 * kMillisecond);
-  DesktopRun off =
-      RunDesktop(Wan100M(), /*adapt=*/false, 0, 6, 500 * kMillisecond);
-  THINC_CHECK_MSG(on.delta_hits > 0, "delta rung never engaged on the WAN");
-  THINC_CHECK_MSG(on.mismatched_pixels == 0 && off.mismatched_pixels == 0,
-                  "delta coding must be lossless");
-  THINC_CHECK_MSG(on.bytes < off.bytes,
-                  "adaptive arm delivered no byte savings over intra-only");
-  std::printf("adaptive %lld bytes (%lld delta frames) vs intra-only %lld "
-              "bytes, both pixel-exact\n",
-              static_cast<long long>(on.bytes),
-              static_cast<long long>(on.delta_hits),
-              static_cast<long long>(off.bytes));
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
-    return RunSmoke();
-  }
-
+int main() {
   bench::PrintHeader(
       "Codec ladder: inter-frame delta rung and adaptive selection",
       "(rung sweep on LAN; adaptive vs intra-only A/B on WAN)");

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Pre-merge gate: tier-1 correctness, the bench smokes, the paper golden,
-# and the full test suite under the sanitizers.
+# Pre-merge gate: tier-1 correctness, the bench smokes, the codec and paper
+# goldens, and the full test suite under the sanitizers.
 #
 #   1. Configure+build the `default` preset, run the full test suite (the
-#      tier-1 bar: everything must pass), the bench smokes, and bench_paper
+#      tier-1 bar: everything must pass), the bench smokes, bench_codec
+#      against its golden JSON (bench/golden/codec.json), and bench_paper
 #      against its golden stdout (bench/golden/paper.txt).
 #   2. Configure+build the `sanitize` preset (ASan+UBSan, build-asan/) and
 #      run the full test suite under the sanitizers.
@@ -61,12 +62,15 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   echo "== cluster smoke: bench_cluster --smoke =="
   ./build/bench/bench_cluster --smoke
 
-  # Codec smoke: a WAN desktop-repaint run with adaptive selection off, then
-  # on; THINC_CHECKs that the delta rung engages (hits > 0), that both arms
-  # deliver pixel-exact framebuffers, and that delta moves fewer wire bytes
-  # than intra at equal fidelity.
-  echo "== codec smoke: bench_codec --smoke =="
-  ./build/bench/bench_codec --smoke
+  # Codec golden: bench_codec's full run with adaptive selection on — the
+  # ladder rung sweep, the WAN equal-fidelity A/B (THINC_CHECKs that the
+  # delta rung engages, both arms stay pixel-exact, and delta moves fewer
+  # bytes) and the starved-WAN A/B — and its BENCH_codec.json must equal
+  # bench/golden/codec.json byte for byte. The env knobs are cleared so the
+  # run covers the full web suite and default clip.
+  echo "== codec golden: bench_codec vs bench/golden/codec.json =="
+  (cd build/bench && env -u THINC_WEB_PAGES -u THINC_AV_FULL ./bench_codec >/dev/null)
+  cmp bench/golden/codec.json build/bench/BENCH_codec.json
 
   # Device smoke: the trace-driven device-class table run twice; THINC_CHECKs
   # that the JSON is byte-identical across reruns (determinism over lossy

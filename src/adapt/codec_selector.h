@@ -7,7 +7,7 @@
 // intra codecs, WAN-shaped paths (low bandwidth or high RTT) switch to
 // temporal deltas, and starved paths additionally trade fidelity for bytes.
 // The selector is pure policy — it never touches reference validity, which
-// the server owns (DESIGN.md §15).
+// DeltaReference owns (DESIGN.md §15).
 #ifndef THINC_SRC_ADAPT_CODEC_SELECTOR_H_
 #define THINC_SRC_ADAPT_CODEC_SELECTOR_H_
 
@@ -27,28 +27,6 @@ struct AdaptOptions {
   // Master switch: off keeps every server byte-identical to the
   // pre-adaptive stack (no observer installed, no reference kept).
   bool enabled = false;
-
-  // Updates below this pixel count never take the delta path: the block
-  // grid + header overhead dominates, and small updates already encode
-  // uncompressed (mirrors RawCommand::kCompressThresholdPixels).
-  int64_t min_delta_pixels = 2048;
-
-  // Delta is preferred when the estimated bandwidth is at or below this
-  // (the link, not the codec, is the bottleneck) ...
-  int64_t delta_max_bandwidth_bps = 50'000'000;
-  // ... or the estimated RTT is at or above this (WAN-shaped path: every
-  // byte saved shortens the window-bound delivery tail).
-  SimTime delta_min_rtt_us = 10 * kMillisecond;
-
-  // At or below this bandwidth the selector also subsamples fidelity —
-  // the adaptive equivalent of the ladder's fidelity rung, reached per
-  // connection instead of per host.
-  int64_t subsample_max_bandwidth_bps = 2'000'000;
-
-  // Degradation-ladder level at which the host forces at-least-delta
-  // regardless of the estimate (the codec rung between backlog caps and
-  // fidelity subsampling).
-  int ladder_force_level = 2;
 };
 
 class CodecSelector {
@@ -57,10 +35,6 @@ class CodecSelector {
   // intra until one is attached.
   CodecSelector(const AdaptOptions& options, const NetEstimator* estimator)
       : options_(options), estimator_(estimator) {}
-
-  void set_estimator(const NetEstimator* estimator) {
-    estimator_ = estimator;
-  }
 
   // Picks the codec for an update of `update_pixels` at the host's current
   // degradation-ladder level. Pure function of (options, estimate, level):

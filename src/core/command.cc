@@ -286,8 +286,8 @@ DeltaCommand::DeltaCommand(const Rect& rect, PixelBuffer pixels,
 DeltaCommand::DeltaCommand(const Rect& rect, std::vector<uint8_t> payload)
     : rect_(rect), region_(rect), payload_(std::move(payload)) {}
 
-size_t DeltaCommand::EncodedSize() const {
-  return kFrameHeaderBytes + 16 + payload_.size();
+size_t DeltaCommand::EncodedSizeFor(size_t payload_bytes) {
+  return kFrameHeaderBytes + 16 + payload_bytes;
 }
 
 ByteBuffer DeltaCommand::EncodeFrameInto(FrameArena* arena) const {

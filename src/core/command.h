@@ -257,10 +257,13 @@ class DeltaCommand : public Command {
   // Client side: payload only, already structurally validated.
   DeltaCommand(const Rect& rect, std::vector<uint8_t> payload);
 
+  // Wire size of a delta frame carrying `payload_bytes` of payload.
+  static size_t EncodedSizeFor(size_t payload_bytes);
+
   MsgType type() const override { return MsgType::kRawDelta; }
   OverlapClass overlap() const override { return OverlapClass::kTransparent; }
   const Region& region() const override { return region_; }
-  size_t EncodedSize() const override;
+  size_t EncodedSize() const override { return EncodedSizeFor(payload_.size()); }
   double EncodeCpuCost() const override { return encode_cost_; }
   std::unique_ptr<Command> Clone() const override;
   void Translate(int32_t dx, int32_t dy) override;

@@ -26,14 +26,14 @@ bool UpdateScheduler::IsRealtime(const Command& cmd, SimTime now) const {
   if (cmd.overlap() == OverlapClass::kTransparent) {
     return false;
   }
-  if (last_input_time_ < 0 || now - last_input_time_ > options_.rt_window) {
+  if (last_input_time_ < 0 || now - last_input_time_ > kRealtimeWindow) {
     return false;
   }
-  if (cmd.EncodedSize() > options_.rt_max_bytes) {
+  if (cmd.EncodedSize() > kRealtimeMaxBytes) {
     return false;
   }
-  Rect halo{last_input_.x - options_.rt_halo, last_input_.y - options_.rt_halo,
-            options_.rt_halo * 2, options_.rt_halo * 2};
+  Rect halo{last_input_.x - kRealtimeHalo, last_input_.y - kRealtimeHalo,
+            kRealtimeHalo * 2, kRealtimeHalo * 2};
   return cmd.region().Intersects(halo);
 }
 
@@ -211,7 +211,7 @@ std::unique_ptr<Command> UpdateScheduler::PopNext(SimTime now) {
     --count_;
     return cmd;
   }
-  if (options_.starvation_limit > 0 && now >= 0) {
+  if (starvation_limit_ > 0 && now >= 0) {
     // Starvation relief: among band fronts aged past the limit, flush the
     // oldest first. Band 0's front flushes next anyway, so start at band 1.
     int aged_band = -1;
@@ -225,7 +225,7 @@ std::unique_ptr<Command> UpdateScheduler::PopNext(SimTime now) {
       // one would draw it before its base content reaches the client.
       if (front.overlap() == OverlapClass::kTransparent ||
           front.queued_at() < 0 ||
-          now - front.queued_at() <= options_.starvation_limit) {
+          now - front.queued_at() <= starvation_limit_) {
         continue;
       }
       if (aged_band < 0 || front.queued_at() < oldest) {

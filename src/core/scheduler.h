@@ -33,21 +33,6 @@ struct SchedulerOptions {
   // Ablation knob (bench_paper's A2): single FIFO queue instead of
   // SRSF bands.
   bool fifo = false;
-  // Real-time region half-size around the last input event, and how long an
-  // input event keeps its region "hot".
-  int32_t rt_halo = 48;
-  SimTime rt_window = 500 * kMillisecond;
-  // Commands larger than this never enter the real-time queue ("small to
-  // medium-sized", Section 5).
-  size_t rt_max_bytes = 16 << 10;
-  // SRSF starvation limit (0 = off): a buffered command whose age exceeds
-  // this is flushed ahead of lower bands, bounding the tail latency SRSF
-  // would otherwise impose on large updates under sustained small-update
-  // load. Transparent commands are never promoted (their dependencies must
-  // flush first), and a promotion is skipped when a lower-band COPY still
-  // reads the candidate's output region or an older lower-band complete
-  // command (kept whole under partial overlap) would redraw over it.
-  SimTime starvation_limit = 0;
 };
 
 class UpdateScheduler {
@@ -56,6 +41,13 @@ class UpdateScheduler {
   // Band i holds sizes in [kBandBase << (i-1), kBandBase << i); band 0 holds
   // anything smaller, the last band anything larger.
   static constexpr size_t kBandBase = 128;
+  // Real-time region half-size around the last input event, and how long an
+  // input event keeps its region "hot".
+  static constexpr int32_t kRealtimeHalo = 48;
+  static constexpr SimTime kRealtimeWindow = 500 * kMillisecond;
+  // Commands larger than this never enter the real-time queue ("small to
+  // medium-sized", Section 5).
+  static constexpr size_t kRealtimeMaxBytes = 16 << 10;
 
   explicit UpdateScheduler(SchedulerOptions options = {});
 
@@ -85,13 +77,19 @@ class UpdateScheduler {
   // Pops the next command in flush order (real-time queue first, then bands
   // in increasing order). Null when empty. When a starvation limit is set
   // and `now` is provided, a band-front command aged past the limit is
-  // flushed ahead of lower bands (see SchedulerOptions::starvation_limit).
+  // flushed ahead of lower bands (see set_starvation_limit).
   std::unique_ptr<Command> PopNext(SimTime now = -1);
 
-  // Runtime override of the starvation limit (the overload degradation
-  // ladder turns aging on/off as host pressure changes; 0 disables).
-  void set_starvation_limit(SimTime limit) { options_.starvation_limit = limit; }
-  SimTime starvation_limit() const { return options_.starvation_limit; }
+  // SRSF starvation limit (0 = off, the default; the overload ladder turns
+  // it on and off): a buffered command older than this is flushed ahead of
+  // lower bands, bounding the tail latency SRSF imposes on large updates
+  // under sustained small-update load. Transparent commands are never
+  // promoted (their dependencies must flush first), and a promotion is
+  // skipped when a lower-band COPY still reads the candidate's output region
+  // or an older lower-band complete command (kept whole under partial
+  // overlap) would redraw over it.
+  void set_starvation_limit(SimTime limit) { starvation_limit_ = limit; }
+  SimTime starvation_limit() const { return starvation_limit_; }
 
   // Notes a user input event (drives the real-time region).
   void NoteInput(Point location, SimTime now);
@@ -131,6 +129,7 @@ class UpdateScheduler {
   void Evict(const Region& incoming);
 
   SchedulerOptions options_;
+  SimTime starvation_limit_ = 0;
   int telemetry_pid_ = 0;
   int64_t next_seq_ = 0;
   std::array<std::deque<std::unique_ptr<Command>>, kNumBands> bands_;

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "src/codec/delta.h"
 #include "src/raster/fant.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/buffer.h"
@@ -48,8 +47,10 @@ constexpr SimTime kDegradedStarvationLimit = 300 * kMillisecond;
 ThincServer::ThincServer(EventLoop* loop, Transport* conn, CpuAccount* cpu,
                          PayloadPool* payloads, ThincServerOptions options)
     : loop_(loop), conn_(conn), cpu_(cpu), payloads_(payloads), options_(options),
-      scheduler_(options.scheduler),
-      codec_selector_(options.adapt, &net_estimator_) {
+      scheduler_(options.scheduler) {
+  if (options_.adapt.enabled) {
+    reference_.emplace();
+  }
   if (options_.initial_degradation_level > 0) {
     SetDegradationLevel(options_.initial_degradation_level);
   }
@@ -71,11 +72,8 @@ ThincServer::ThincServer(EventLoop* loop, Transport* conn, CpuAccount* cpu,
 }
 
 void ThincServer::BindConnection() {
-  if (options_.adapt.enabled) {
-    // The estimator observes the new transport from byte one; whatever it
-    // learned about a previous link is stale.
-    net_estimator_.Invalidate();
-    conn_->SetObserver(&net_estimator_);
+  if (reference_.has_value()) {
+    reference_->Observe(conn_);
   }
   conn_->SetReceiver(Transport::kServer,
                      [this](std::span<const uint8_t> data) { OnReceive(data); });
@@ -92,31 +90,28 @@ void ThincServer::OnConnectionClosed() {
   // Trace ids of frames committed to (but not decoded from) the dead
   // transport die with it.
   Telemetry::Get().DropWireChannel(conn_);
-  pending_trace_id_ = 0;
-  // Everything tied to the dead transport is dropped: a partially
-  // transmitted frame can never be completed on a new connection (the resync
-  // refresh covers its content), and buffered media is stale by the time a
-  // client returns. The virtual display state itself — framebuffer,
-  // offscreen queues, stream geometry, viewport — is parked untouched.
-  pending_.reset();
-  pending_prepared_ = false;
-  pending_shared_wait_ = false;
-  pending_frame_ = ByteBuffer();
-  pending_cursor_ = 0;
+  DropTransportState();
+}
+
+void ThincServer::DropTransportState() {
+  // A partial frame can never be completed on a new connection (the resync
+  // refresh covers its content), buffered media is stale by the time a
+  // client returns, and the dropped bytes void the delta reference. The
+  // virtual display state itself — framebuffer, offscreen queues, stream
+  // geometry, viewport — is parked untouched.
+  inflight_ = InFlight();
   update_requested_ = false;
   audio_queue_.clear();
   video_queue_.clear();
-  // A Reset drops committed-but-undelivered bytes, so commit order no
-  // longer proves what the client holds: the temporal reference is void
-  // (and so is the black-framebuffer arming shortcut — the next client
-  // arrives with whatever it last rendered).
-  pending_ref_cmd_.reset();
-  InvalidateReference();
-  ref_lazy_arm_ok_ = false;
-  net_estimator_.Invalidate();
+  if (reference_.has_value()) {
+    reference_->Drop();
+  }
 }
 
 void ThincServer::Attach(Transport* conn) {
+  // A rebind may reset the old transport and attach at once: its close
+  // notification then arrives stale and is ignored, so drop its state here.
+  DropTransportState();
   conn_ = conn;
   connected_ = true;
   ++reconnects_;
@@ -127,18 +122,9 @@ void ThincServer::Attach(Transport* conn) {
     tx_cipher_.emplace(kTransportKey);
     rx_cipher_.emplace(kTransportKey);
   }
-  pending_.reset();
-  pending_prepared_ = false;
-  pending_shared_wait_ = false;
-  pending_frame_ = ByteBuffer();
-  pending_cursor_ = 0;
-  pending_trace_id_ = 0;
   // The fresh transport must start with an empty trace channel even if this
   // Connection object served a previous life.
   Telemetry::Get().DropWireChannel(conn_);
-  update_requested_ = false;
-  audio_queue_.clear();
-  video_queue_.clear();
   // The old client's buffer is meaningless to the new client; the resync
   // refresh supersedes it.
   scheduler_.Clear();
@@ -156,18 +142,24 @@ void ThincServer::Attach(Transport* conn) {
   // bytes on high-RTT links).
 }
 
+Rect ThincServer::ToViewport(const Rect& r) const {
+  return viewport_.has_value()
+             ? Region(r).Scaled(viewport_->num, viewport_->den).Bounds()
+             : r;
+}
+
+void ThincServer::AnnounceStream(int32_t id, const VideoStreamState& st) {
+  WireWriter w(MsgType::kVideoSetup, &arena_);
+  w.I32(id);
+  w.I32(st.src_width);
+  w.I32(st.src_height);
+  w.RectVal(ToViewport(st.dst));
+  audio_queue_.push_back(w.Finish());
+}
+
 void ThincServer::ReannounceStreams() {
   for (const auto& [id, st] : streams_) {
-    WireWriter w(MsgType::kVideoSetup, &arena_);
-    w.I32(id);
-    w.I32(st.src_width);
-    w.I32(st.src_height);
-    Rect scaled_dst =
-        viewport_.has_value()
-            ? Region(st.dst).Scaled(viewport_->num, viewport_->den).Bounds()
-            : st.dst;
-    w.RectVal(scaled_dst);
-    audio_queue_.push_back(MediaItem{w.Finish()});
+    AnnounceStream(id, st);
   }
   if (!streams_.empty()) {
     ScheduleFlush(0);
@@ -187,16 +179,10 @@ void ThincServer::SetDegradationLevel(int level) {
   const int32_t old_subsample = options_.ladder.fidelity_subsample[degradation_level_];
   degradation_level_ = level;
   scheduler_.set_starvation_limit(level >= 1 ? kDegradedStarvationLimit : 0);
-  if (ref_armed_ && options_.ladder.fidelity_subsample[level] != old_subsample) {
-    // The client's framebuffer now mixes fidelities the reference can't
-    // model (prior commits at the old factor, future ones at the new); mark
-    // everything stale so deltas re-arm region by region as full-fidelity
-    // content lands. Counted as an invalidation — the reference survives but
-    // is wholly unusable until rebuilt.
-    static Counter* invalidations =
-        MetricsRegistry::Get().GetCounter("codec.reference_invalidations");
-    invalidations->Inc();
-    ref_dirty_ = Region(ref_screen_.bounds());
+  if (reference_.has_value() &&
+      options_.ladder.fidelity_subsample[level] != old_subsample) {
+    // Prior commits are at the old factor, future ones at the new.
+    reference_->FidelityChanged();
   }
   Telemetry& telemetry = Telemetry::Get();
   telemetry.Record("core.degrade_level", loop_->now(), level);
@@ -319,12 +305,7 @@ void ThincServer::OnCopy(DrawableId src, DrawableId dst, const Rect& src_rect,
   // Screen-to-pixmap: the copied content's provenance is the screen; record
   // it as RAW pixels read from the (already updated) destination pixmap.
   if (options_.offscreen_tracking) {
-    const Surface& dst_surface = window_server_->SurfaceOf(dst);
-    Rect clipped = dst_rect.Intersect(dst_surface.bounds());
-    if (!clipped.empty()) {
-      auto raw =
-          std::make_unique<RawCommand>(clipped, dst_surface.GetPixels(clipped));
-      raw->set_compression_enabled(options_.compress_raw);
+    if (auto raw = RawFrom(window_server_->SurfaceOf(dst), dst_rect)) {
       offscreen_[dst].Insert(std::move(raw));
     }
   }
@@ -360,10 +341,6 @@ std::vector<std::unique_ptr<Command>> ThincServer::ResizeForViewport(
   std::vector<std::unique_ptr<Command>> out;
   const int32_t num = viewport_->num;
   const int32_t den = viewport_->den;
-  auto scale_rect = [num, den](const Rect& r) {
-    Region scaled = Region(r).Scaled(num, den);
-    return scaled.Bounds();
-  };
 
   switch (cmd->type()) {
     case MsgType::kSfill: {
@@ -391,21 +368,12 @@ std::vector<std::unique_ptr<Command>> ThincServer::ResizeForViewport(
     case MsgType::kRaw: {
       auto& raw = static_cast<RawCommand&>(*cmd);
       for (const Rect& r : raw.region().rects()) {
-        Rect dst = scale_rect(r);
-        if (dst.empty()) {
-          continue;
+        const Rect dst = ToViewport(r);
+        if (!dst.empty()) {
+          Surface src(r.width, r.height);
+          src.PutPixels(Rect{0, 0, r.width, r.height}, raw.ExtractRect(r));
+          out.push_back(Resampled(src, dst));
         }
-        Surface src(r.width, r.height);
-        src.PutPixels(Rect{0, 0, r.width, r.height}, raw.ExtractRect(r));
-        cpu_->Charge(static_cast<double>(r.area()) * cpucost::kResamplePerPixel);
-        Surface scaled = FantResample(src, dst.width, dst.height);
-        auto piece = std::make_unique<RawCommand>(
-            dst, std::vector<Pixel>(scaled.pixels().begin(), scaled.pixels().end()));
-        piece->set_compression_enabled(options_.compress_raw);
-        // A resampled piece descends from an update that was large at full
-        // scale; the codec's small-rect heuristic would misjudge it.
-        piece->set_compress_floor(0);
-        out.push_back(std::move(piece));
       }
       return out;
     }
@@ -424,19 +392,14 @@ std::vector<std::unique_ptr<Command>> ThincServer::ResizeForViewport(
         return out;
       }
       const Rect bounds = clipped.Bounds();
-      const Rect dst = scale_rect(bounds);
+      const Rect dst = ToViewport(bounds);
       if (dst.empty()) {
         return out;
       }
       Surface src(bounds.width, bounds.height);
       src.PutPixels(Rect{0, 0, bounds.width, bounds.height},
                     window_server_->screen().GetPixels(bounds));
-      cpu_->Charge(static_cast<double>(bounds.area()) * cpucost::kResamplePerPixel);
-      Surface scaled = FantResample(src, dst.width, dst.height);
-      auto piece = std::make_unique<RawCommand>(
-          dst, std::vector<Pixel>(scaled.pixels().begin(), scaled.pixels().end()));
-      piece->set_compression_enabled(options_.compress_raw);
-      piece->set_compress_floor(0);
+      std::unique_ptr<RawCommand> piece = Resampled(src, dst);
       // Keep the shipped region tight: only the scaled image of the source
       // region is painted, not the gaps the bounding read swept in.
       if (piece->RestrictTo(clipped.Scaled(num, den))) {
@@ -448,6 +411,29 @@ std::vector<std::unique_ptr<Command>> ThincServer::ResizeForViewport(
       out.push_back(std::move(cmd));
       return out;
   }
+}
+
+std::unique_ptr<RawCommand> ThincServer::Resampled(const Surface& src, const Rect& dst) {
+  cpu_->Charge(static_cast<double>(src.bounds().area()) * cpucost::kResamplePerPixel);
+  Surface scaled = FantResample(src, dst.width, dst.height);
+  auto piece = std::make_unique<RawCommand>(
+      dst, std::vector<Pixel>(scaled.pixels().begin(), scaled.pixels().end()));
+  piece->set_compression_enabled(options_.compress_raw);
+  // A resampled piece descends from an update that was large at full
+  // scale; the codec's small-rect heuristic would misjudge it.
+  piece->set_compress_floor(0);
+  return piece;
+}
+
+std::unique_ptr<RawCommand> ThincServer::RawFrom(const Surface& from,
+                                                 const Rect& r) const {
+  const Rect clipped = r.Intersect(from.bounds());
+  if (clipped.empty()) {
+    return nullptr;
+  }
+  auto raw = std::make_unique<RawCommand>(clipped, from.GetPixels(clipped));
+  raw->set_compression_enabled(options_.compress_raw);
+  return raw;
 }
 
 void ThincServer::InsertOutgoing(std::unique_ptr<Command> cmd) {
@@ -489,15 +475,10 @@ void ThincServer::InsertOutgoing(std::unique_ptr<Command> cmd) {
     const int planned = scheduler_.PlannedBand(*next, loop_->now());
     for (const Region& region :
          scheduler_.SplitCopiesReading(next->region(), planned)) {
-      const Surface& screen = window_server_->screen();
       for (const Rect& r : region.rects()) {
-        Rect clipped = r.Intersect(screen.bounds());
-        if (clipped.empty()) {
-          continue;
+        if (auto raw = RawFrom(window_server_->screen(), r)) {
+          pending.push_back(std::move(raw));
         }
-        auto raw = std::make_unique<RawCommand>(clipped, screen.GetPixels(clipped));
-        raw->set_compression_enabled(options_.compress_raw);
-        pending.push_back(std::move(raw));
       }
     }
     scheduler_.Insert(std::move(next), loop_->now(), planned);
@@ -521,15 +502,7 @@ int32_t ThincServer::OnVideoStreamCreate(int32_t src_width, int32_t src_height,
   if (!connected_) {
     return id;  // geometry parked; re-announced on Attach()
   }
-  WireWriter w(MsgType::kVideoSetup, &arena_);
-  w.I32(id);
-  w.I32(src_width);
-  w.I32(src_height);
-  Rect scaled_dst = viewport_.has_value()
-                        ? Region(dst).Scaled(viewport_->num, viewport_->den).Bounds()
-                        : dst;
-  w.RectVal(scaled_dst);
-  audio_queue_.push_back(MediaItem{w.Finish()});
+  AnnounceStream(id, streams_[id]);
   ScheduleFlush(0);
   return id;
 }
@@ -581,29 +554,25 @@ void ThincServer::EnqueueVideoFrame(int32_t stream_id, ByteBuffer wire_frame) {
   // Client-buffer semantics for video: a frame still waiting (unstarted)
   // when its successor arrives is outdated — drop it, keep the fresh one.
   for (auto& item : video_queue_) {
-    if (item.is_video && item.stream_id == stream_id) {
+    if (item.stream_id == stream_id) {
       item.frame = std::move(wire_frame);
       ++video_frames_dropped_;
       ScheduleFlush(0);
       return;
     }
   }
-  MediaItem item;
-  item.frame = std::move(wire_frame);
-  item.is_video = true;
-  item.stream_id = stream_id;
-  video_queue_.push_back(std::move(item));
+  video_queue_.push_back(QueuedVideoFrame{std::move(wire_frame), stream_id});
   ScheduleFlush(0);
 }
 
 void ThincServer::OnVideoStreamMove(int32_t stream_id, const Rect& dst) {
   auto it = streams_.find(stream_id);
   THINC_CHECK(it != streams_.end());
-  if (ref_armed_ && !viewport_.has_value()) {
+  if (reference_.has_value()) {
     // The vacated rect holds overlay video on the client but untracked
     // content in the reference; the display updates that repaint it must
     // go intra until they land.
-    ref_dirty_ = ref_dirty_.Union(it->second.dst);
+    reference_->MarkStale(Region(it->second.dst));
   }
   it->second.dst = dst;
   if (!connected_) {
@@ -611,33 +580,28 @@ void ThincServer::OnVideoStreamMove(int32_t stream_id, const Rect& dst) {
   }
   WireWriter w(MsgType::kVideoMove, &arena_);
   w.I32(stream_id);
-  Rect scaled_dst = viewport_.has_value()
-                        ? Region(dst).Scaled(viewport_->num, viewport_->den).Bounds()
-                        : dst;
-  w.RectVal(scaled_dst);
-  audio_queue_.push_back(MediaItem{w.Finish()});
+  w.RectVal(ToViewport(dst));
+  audio_queue_.push_back(w.Finish());
   ScheduleFlush(0);
 }
 
 void ThincServer::OnVideoStreamDestroy(int32_t stream_id) {
-  if (ref_armed_ && !viewport_.has_value()) {
-    auto it = streams_.find(stream_id);
-    if (it != streams_.end()) {
-      ref_dirty_ = ref_dirty_.Union(it->second.dst);  // as in OnVideoStreamMove
+  auto it = streams_.find(stream_id);
+  if (it != streams_.end()) {
+    if (reference_.has_value()) {
+      reference_->MarkStale(Region(it->second.dst));  // as in OnVideoStreamMove
     }
+    streams_.erase(it);
   }
-  streams_.erase(stream_id);
-  video_queue_.erase(std::remove_if(video_queue_.begin(), video_queue_.end(),
-                                    [stream_id](const MediaItem& m) {
-                                      return m.is_video && m.stream_id == stream_id;
-                                    }),
-                     video_queue_.end());
+  std::erase_if(video_queue_, [stream_id](const QueuedVideoFrame& item) {
+    return item.stream_id == stream_id;
+  });
   if (!connected_) {
     return;  // a reattached client never learns of the dead stream
   }
   WireWriter w(MsgType::kVideoTeardown, &arena_);
   w.I32(stream_id);
-  audio_queue_.push_back(MediaItem{w.Finish()});
+  audio_queue_.push_back(w.Finish());
   ScheduleFlush(0);
 }
 
@@ -660,7 +624,7 @@ void ThincServer::SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) {
   w.I64(timestamp);
   w.U32(static_cast<uint32_t>(pcm.size()));
   w.Bytes(pcm);
-  audio_queue_.push_back(MediaItem{w.Finish()});
+  audio_queue_.push_back(w.Finish());
   ScheduleFlush(0);
 }
 
@@ -701,22 +665,52 @@ size_t ThincServer::CommitBytes(const ByteBuffer& bytes, size_t* cursor) {
   return n;
 }
 
-SimTime ThincServer::ChargeEncode(double cost_us) {
-  if (cpu_->cores() > 1 && pending_ != nullptr &&
-      pending_->type() == MsgType::kRaw && cost_us > kEncodeSliceCostUs) {
-    const int by_cost = static_cast<int>(cost_us / kEncodeSliceCostUs);
-    const int slices = std::min(cpu_->cores(), by_cost);
-    if (slices > 1) {
-      static Counter* sliced =
-          MetricsRegistry::Get().GetCounter("cpu.sliced_encodes");
-      static Counter* slice_count =
-          MetricsRegistry::Get().GetCounter("cpu.encode_slices");
-      sliced->Inc();
-      slice_count->Inc(slices);
-      return cpu_->ChargeParallel(cost_us, slices);
-    }
+void ThincServer::StartFrame(ByteBuffer frame, std::unique_ptr<Command> cmd) {
+  inflight_.frame = std::move(frame);
+  inflight_.cursor = 0;
+  inflight_.trace_id = cmd != nullptr ? cmd->trace_id() : 0;
+  if (reference_.has_value()) {
+    inflight_.committing = std::move(cmd);
   }
-  return cpu_->Charge(cost_us);
+}
+
+bool ThincServer::PickUpSharedFrame(SimTime now) {
+  ByteBuffer cached = options_.shared_frame_cache->Lookup(inflight_.cache_key);
+  if (cached.empty()) {
+    return false;
+  }
+  Telemetry::Get().StampEncode(inflight_.cmd->trace_id(), now, now,
+                               /*cache_hit=*/true);
+  StartFrame(std::move(cached), std::move(inflight_.cmd));
+  return true;
+}
+
+void ThincServer::StartEncode(SimTime now) {
+  InFlight& f = inflight_;
+  const double cost_us = f.cmd->EncodeCpuCost();
+  const bool raw = f.cmd->type() == MsgType::kRaw;
+  const int slices =
+      raw && cost_us > kEncodeSliceCostUs
+          ? std::min(cpu_->cores(), static_cast<int>(cost_us / kEncodeSliceCostUs))
+          : 1;
+  f.encode_start = now;
+  if (slices > 1) {
+    static Counter* sliced = MetricsRegistry::Get().GetCounter("cpu.sliced_encodes");
+    static Counter* slice_count =
+        MetricsRegistry::Get().GetCounter("cpu.encode_slices");
+    sliced->Inc();
+    slice_count->Inc(slices);
+    f.ready = cpu_->ChargeParallel(cost_us, slices);
+  } else {
+    f.ready = cpu_->Charge(cost_us);
+  }
+  f.prepared = true;
+  if (raw) {
+    ++BufferStats::Get().encode_charges;
+  }
+  if (!f.cache_key.empty()) {
+    options_.shared_frame_cache->NoteEncodeStarted(f.cache_key, f.ready);
+  }
 }
 
 void ThincServer::Flush() {
@@ -732,196 +726,131 @@ void ThincServer::Flush() {
     return;
   }
   const SimTime now = loop_->now();
+  InFlight& f = inflight_;
   size_t committed = 0;
   while (true) {
     // 1. Finish any partially committed frame first (stream coherence).
-    if (!pending_frame_.empty()) {
-      size_t n = CommitBytes(pending_frame_, &pending_cursor_);
+    if (!f.frame.empty()) {
+      const size_t n = CommitBytes(f.frame, &f.cursor);
       committed += n;
-      if (pending_trace_id_ != 0 && n > 0) {
-        Telemetry::Get().StampCommit(pending_trace_id_, now,
-                                     static_cast<int64_t>(n));
+      if (f.trace_id != 0 && n > 0) {
+        Telemetry::Get().StampCommit(f.trace_id, now, static_cast<int64_t>(n));
       }
-      if (pending_cursor_ < pending_frame_.size()) {
+      if (f.cursor < f.frame.size()) {
         return;  // socket full; writable callback resumes us
       }
-      if (pending_trace_id_ != 0) {
+      if (f.trace_id != 0) {
         Telemetry& telemetry = Telemetry::Get();
-        telemetry.NoteFrameCommitted(pending_trace_id_, now);
-        telemetry.PushWireTrace(conn_, pending_trace_id_);
-        pending_trace_id_ = 0;
+        telemetry.NoteFrameCommitted(f.trace_id, now);
+        telemetry.PushWireTrace(conn_, f.trace_id);
+        f.trace_id = 0;
       }
-      pending_frame_ = ByteBuffer();
-      pending_cursor_ = 0;
-      if (pending_ref_cmd_ != nullptr) {
+      f.frame = ByteBuffer();
+      if (f.committing != nullptr) {
         // The display command behind this frame is now fully committed: the
         // client will apply it in this exact order.
-        ApplyToReference(*pending_ref_cmd_);
-        pending_ref_cmd_.reset();
+        reference_->Apply(*f.committing, window_server_->screen());
+        f.committing.reset();
       }
       continue;
     }
     // 2. A popped display command in progress.
-    if (pending_ != nullptr) {
-      if (!pending_prepared_) {
-        // Adapt layer: a full-rect RAW update with a clean reference may
-        // re-encode as a temporal delta (swaps pending_ for a DeltaCommand).
-        // Runs before the shared-frame cache on purpose: deltas are keyed to
-        // one viewer's reference and must never be shared.
-        MaybeDeltaEncode();
+    if (f.cmd != nullptr) {
+      if (!f.prepared) {
+        if (reference_.has_value()) {
+          // Adapt layer: a full-rect RAW update with a clean reference may
+          // re-encode as a temporal delta. Runs before the shared-frame
+          // cache on purpose: deltas are keyed to one viewer's reference and
+          // must never be shared.
+          std::vector<Rect> overlays;
+          for (const auto& [id, st] : streams_) {
+            overlays.push_back(st.dst);
+          }
+          f.cmd = reference_->MaybeDelta(std::move(f.cmd), degradation_level_,
+                                         overlays, cpu_, payloads_);
+        }
         // Session sharing: if another viewer's server already encoded this
         // exact frame (same content, same geometry), reuse the bytes and
         // skip the encode CPU charge; if that encode is still in flight,
         // wait for its completion instead of starting a duplicate. Either
         // way encode cost amortizes to ~1 encode per frame across N viewers.
-        pending_cache_key_.clear();
-        pending_shared_wait_ = false;
+        f.cache_key.clear();
+        f.shared_wait = false;
         if (options_.shared_frame_cache != nullptr &&
-            pending_->type() == MsgType::kRaw) {
-          pending_cache_key_ =
-              static_cast<RawCommand*>(pending_.get())->SharedContentKey();
+            f.cmd->type() == MsgType::kRaw) {
+          f.cache_key = static_cast<RawCommand*>(f.cmd.get())->SharedContentKey();
           static Counter* lookups =
               MetricsRegistry::Get().GetCounter("share.lookups");
           static Counter* hits = MetricsRegistry::Get().GetCounter("share.hits");
           static Counter* waits = MetricsRegistry::Get().GetCounter("share.waits");
           lookups->Inc();
-          ByteBuffer cached = options_.shared_frame_cache->Lookup(pending_cache_key_);
-          if (!cached.empty()) {
+          if (PickUpSharedFrame(now)) {
             hits->Inc();
-            pending_frame_ = std::move(cached);
-            pending_cursor_ = 0;
-            pending_trace_id_ = pending_->trace_id();
-            Telemetry::Get().StampEncode(pending_trace_id_, now, now,
-                                         /*cache_hit=*/true);
-            if (options_.adapt.enabled) {
-              pending_ref_cmd_ = std::move(pending_);
-            }
-            pending_.reset();
             continue;
           }
-          int64_t other_ready =
-              options_.shared_frame_cache->PendingEncodeReady(pending_cache_key_);
+          const int64_t other_ready =
+              options_.shared_frame_cache->PendingEncodeReady(f.cache_key);
           if (other_ready >= now) {
             waits->Inc();
-            pending_ready_ = other_ready;
-            pending_prepared_ = true;
-            pending_shared_wait_ = true;
+            f.ready = other_ready;
+            f.prepared = true;
+            f.shared_wait = true;
           }
         }
-        if (!pending_prepared_) {
-          double cost = pending_->EncodeCpuCost();
-          pending_encode_start_ = now;
-          pending_ready_ = ChargeEncode(cost);
-          pending_prepared_ = true;
-          if (pending_->type() == MsgType::kRaw) {
-            ++BufferStats::Get().encode_charges;
-          }
-          if (!pending_cache_key_.empty()) {
-            options_.shared_frame_cache->NoteEncodeStarted(pending_cache_key_,
-                                                           pending_ready_);
-          }
+        if (!f.prepared) {
+          StartEncode(now);
         }
       }
-      if (now < pending_ready_) {
+      if (now < f.ready) {
         // Encoding still "running" on the server CPU.
-        loop_->ScheduleAt(pending_ready_, [this] { Flush(); });
+        loop_->ScheduleAt(f.ready, [this] { Flush(); });
         return;
       }
-      if (pending_shared_wait_) {
-        // We idled while another server encoded this frame; pick it up.
-        pending_shared_wait_ = false;
-        ByteBuffer cached =
-            options_.shared_frame_cache->Lookup(pending_cache_key_);
-        if (!cached.empty()) {
-          pending_frame_ = std::move(cached);
-          pending_cursor_ = 0;
-          pending_trace_id_ = pending_->trace_id();
-          Telemetry::Get().StampEncode(pending_trace_id_, now, now,
-                                       /*cache_hit=*/true);
-          if (options_.adapt.enabled) {
-            pending_ref_cmd_ = std::move(pending_);
-          }
-          pending_.reset();
-          pending_prepared_ = false;
-          continue;
+      if (f.shared_wait) {
+        // We idled while another server encoded this frame; pick it up. If
+        // the encoding server never delivered (reset, or its entry was
+        // evicted), encode ourselves after all.
+        f.shared_wait = false;
+        if (!PickUpSharedFrame(now)) {
+          StartEncode(now);
         }
-        // The encoding server never delivered (reset, or its entry was
-        // evicted): encode ourselves after all.
-        double cost = pending_->EncodeCpuCost();
-        pending_encode_start_ = now;
-        pending_ready_ = ChargeEncode(cost);
-        ++BufferStats::Get().encode_charges;
-        options_.shared_frame_cache->NoteEncodeStarted(pending_cache_key_,
-                                                       pending_ready_);
-        if (now < pending_ready_) {
-          loop_->ScheduleAt(pending_ready_, [this] { Flush(); });
-          return;
-        }
+        continue;
       }
       const BufferStats& stats = BufferStats::Get();
       const int64_t cache_hits_before =
           stats.payload_encode_hits + stats.frame_cache_hits;
-      ByteBuffer frame = pending_->EncodeFrame(&arena_);
-      if (pending_->trace_id() != 0) {
+      ByteBuffer frame = f.cmd->EncodeFrame(&arena_);
+      if (f.cmd->trace_id() != 0) {
         const bool cache_hit =
             stats.payload_encode_hits + stats.frame_cache_hits >
             cache_hits_before;
-        Telemetry::Get().StampEncode(
-            pending_->trace_id(), pending_encode_start_,
-            std::max(pending_encode_start_, pending_ready_), cache_hit);
+        Telemetry::Get().StampEncode(f.cmd->trace_id(), f.encode_start,
+                                     std::max(f.encode_start, f.ready),
+                                     cache_hit);
       }
-      if (options_.shared_frame_cache != nullptr && !pending_cache_key_.empty()) {
+      if (!f.cache_key.empty()) {
         static Counter* stores = MetricsRegistry::Get().GetCounter("share.stores");
         stores->Inc();
-        options_.shared_frame_cache->Store(pending_cache_key_, frame.Share());
+        options_.shared_frame_cache->Store(f.cache_key, frame.Share());
       }
-      size_t space = conn_->FreeSpace(Transport::kServer);
-      if (frame.size() <= space) {
-        size_t cursor = 0;
-        size_t n = CommitBytes(frame, &cursor);
-        committed += n;
-        THINC_CHECK(cursor == frame.size());
-        if (pending_->trace_id() != 0) {
-          Telemetry& telemetry = Telemetry::Get();
-          telemetry.StampCommit(pending_->trace_id(), now,
-                                static_cast<int64_t>(n));
-          telemetry.NoteFrameCommitted(pending_->trace_id(), now);
-          telemetry.PushWireTrace(conn_, pending_->trace_id());
+      std::unique_ptr<Command> cmd = std::move(f.cmd);
+      const size_t space = conn_->FreeSpace(Transport::kServer);
+      if (frame.size() > space) {
+        // Split so the committed portion fits and the remainder can be
+        // rescheduled by remaining size (non-blocking operation, Section 5).
+        // An unsplittable command streams its bytes progressively.
+        if (std::unique_ptr<Command> part = cmd->SplitOff(space)) {
+          frame = part->EncodeFrame(&arena_);
+          scheduler_.Reinsert(std::move(cmd));
+          cmd = std::move(part);
         }
-        ApplyToReference(*pending_);
-        pending_.reset();
-        pending_prepared_ = false;
-        continue;
       }
-      // Split so the committed portion fits and the remainder can be
-      // rescheduled by remaining size (non-blocking operation, Section 5).
-      std::unique_ptr<Command> part = pending_->SplitOff(space);
-      if (part != nullptr) {
-        pending_frame_ = part->EncodeFrame(&arena_);
-        pending_cursor_ = 0;
-        pending_trace_id_ = part->trace_id();
-        if (options_.adapt.enabled) {
-          pending_ref_cmd_ = std::move(part);
-        }
-        scheduler_.Reinsert(std::move(pending_));
-        pending_prepared_ = false;
-        continue;
-      }
-      // Unsplittable: stream its bytes progressively.
-      pending_frame_ = std::move(frame);
-      pending_cursor_ = 0;
-      pending_trace_id_ = pending_->trace_id();
-      if (options_.adapt.enabled) {
-        pending_ref_cmd_ = std::move(pending_);
-      }
-      pending_.reset();
-      pending_prepared_ = false;
+      StartFrame(std::move(frame), std::move(cmd));
       continue;
     }
     // 3. Pick the next item: audio/control, then video, then the scheduler.
     if (!audio_queue_.empty()) {
-      pending_frame_ = std::move(audio_queue_.front().frame);
-      pending_cursor_ = 0;
+      StartFrame(std::move(audio_queue_.front()), nullptr);
       audio_queue_.pop_front();
       continue;
     }
@@ -934,32 +863,30 @@ void ThincServer::Flush() {
       break;
     }
     if (!video_queue_.empty()) {
-      pending_frame_ = std::move(video_queue_.front().frame);
-      pending_cursor_ = 0;
+      StartFrame(std::move(video_queue_.front().frame), nullptr);
       video_queue_.pop_front();
       ++video_frames_sent_;
       continue;
     }
-    std::unique_ptr<Command> cmd = scheduler_.PopNext(loop_->now());
-    if (cmd == nullptr) {
+    f.cmd = scheduler_.PopNext(loop_->now());
+    if (f.cmd == nullptr) {
       break;
     }
-    pending_ = std::move(cmd);
-    pending_prepared_ = false;
+    f.prepared = false;
     if (options_.ladder.fidelity_subsample[degradation_level_] > 1 &&
-        pending_->type() == MsgType::kRaw) {
+        f.cmd->type() == MsgType::kRaw) {
       // Ladder fidelity downshift at pop time (after overwrite coalescing
       // has had its chance): resample work is charged like the viewport
       // path's server-side scaling.
-      auto* raw = static_cast<RawCommand*>(pending_.get());
+      auto* raw = static_cast<RawCommand*>(f.cmd.get());
       if (raw->SubsampleFidelity(options_.ladder.fidelity_subsample[degradation_level_])) {
         cpu_->Charge(static_cast<double>(raw->rect().area()) *
                      cpucost::kResamplePerPixel);
         raw->InternPayload(payloads_);
       }
     }
-    if (pending_->trace_id() != 0) {
-      Telemetry::Get().StampPicked(pending_->trace_id(), now);
+    if (f.cmd->trace_id() != 0) {
+      Telemetry::Get().StampPicked(f.cmd->trace_id(), now);
     }
   }
   // In pull mode a request stays armed until it has been answered with at
@@ -1010,39 +937,24 @@ void ThincServer::HandleFrame(uint8_t type, std::span<const uint8_t> payload) {
       if (!r.I32(&w) || !r.I32(&h) || w <= 0 || h <= 0) {
         return;
       }
+      // Uniform scale: the tighter of the two axis ratios, if either is < 1.
       const Surface& screen = window_server_->screen();
       if (w >= screen.width() && h >= screen.height()) {
         viewport_.reset();
+      } else if (static_cast<int64_t>(w) * screen.height() <=
+                 static_cast<int64_t>(h) * screen.width()) {
+        viewport_ = Viewport{w, screen.width()};
       } else {
-        Viewport vp;
-        vp.width = w;
-        vp.height = h;
-        // Uniform scale: the tighter of the two axis ratios.
-        if (static_cast<int64_t>(w) * screen.height() <=
-            static_cast<int64_t>(h) * screen.width()) {
-          vp.num = w;
-          vp.den = screen.width();
-        } else {
-          vp.num = h;
-          vp.den = screen.height();
-        }
-        viewport_ = vp;
+        viewport_ = Viewport{h, screen.height()};
       }
-      if (options_.adapt.enabled) {
+      if (reference_.has_value()) {
         // Renegotiation is the only point where the server can key a fresh
-        // temporal reference to provable client content: outside the unacked
-        // region the client framebuffer equals the server screen, and the
-        // resync refresh queued below repaints the rest (clearing its
-        // dirtiness command by command as it commits). Under a scaled
-        // viewport there is no delta coding — the wire carries resampled
-        // pixels the reference surface doesn't model.
-        ref_lazy_arm_ok_ = false;  // the client is past its virgin black fb
-        if (!viewport_.has_value()) {
-          ArmReference(screen,
-                       resync_armed_ ? unacked_region_ : Region(screen.bounds()));
-        } else {
-          InvalidateReference();
-        }
+        // temporal reference to provable client content; the resync refresh
+        // queued below repaints what is stale (clearing it command by
+        // command as it commits).
+        reference_->Renegotiated(
+            screen, resync_armed_ ? unacked_region_ : Region(screen.bounds()),
+            viewport_.has_value());
       }
       // The renegotiation that follows an Attach() triggers the resync: the
       // region-only refresh when a migration armed one, the full screen
@@ -1069,23 +981,14 @@ void ThincServer::HandleFrame(uint8_t type, std::span<const uint8_t> payload) {
 }
 
 void ThincServer::SendFullRefresh() {
-  const Surface& screen = window_server_->screen();
-  Rect all = screen.bounds();
-  auto raw = std::make_unique<RawCommand>(all, screen.GetPixels(all));
-  raw->set_compression_enabled(options_.compress_raw);
-  InsertOutgoing(std::move(raw));
+  SendPartialRefresh(Region(window_server_->screen().bounds()));
 }
 
 void ThincServer::SendPartialRefresh(const Region& region) {
-  const Surface& screen = window_server_->screen();
   for (const Rect& r : region.rects()) {
-    Rect clipped = r.Intersect(screen.bounds());
-    if (clipped.empty()) {
-      continue;
+    if (auto raw = RawFrom(window_server_->screen(), r)) {
+      InsertOutgoing(std::move(raw));
     }
-    auto raw = std::make_unique<RawCommand>(clipped, screen.GetPixels(clipped));
-    raw->set_compression_enabled(options_.compress_raw);
-    InsertOutgoing(std::move(raw));
   }
 }
 
@@ -1100,7 +1003,7 @@ void ThincServer::MaybeClearUnacked() {
   if (!connected_ || resync_pending_ || full_refresh_needed_) {
     return;
   }
-  if (scheduler_.count() != 0 || pending_ != nullptr || !audio_queue_.empty() ||
+  if (scheduler_.count() != 0 || inflight_.cmd != nullptr || !audio_queue_.empty() ||
       !video_queue_.empty()) {
     return;
   }
@@ -1123,135 +1026,6 @@ size_t ThincServer::MigrationStateBytes() {
     return kMigrationDescriptorBytes + FramebufferBytes();
   }
   return kMigrationDescriptorBytes + dirty;
-}
-
-// --- Temporal reference (adapt layer) ----------------------------------------
-
-void ThincServer::ArmReference(Surface base, Region dirty) {
-  ref_screen_ = std::move(base);
-  ref_dirty_ = std::move(dirty);
-  ref_armed_ = true;
-}
-
-void ThincServer::InvalidateReference() {
-  if (ref_armed_) {
-    static Counter* invalidations =
-        MetricsRegistry::Get().GetCounter("codec.reference_invalidations");
-    invalidations->Inc();
-  }
-  ref_armed_ = false;
-  ref_screen_ = Surface();
-  ref_dirty_ = Region();
-}
-
-void ThincServer::ApplyToReference(const Command& cmd) {
-  if (!options_.adapt.enabled) {
-    return;
-  }
-  if (!ref_armed_) {
-    // A virgin session's client framebuffer is known: solid black, from its
-    // constructor. The first committed command arms the reference against
-    // that — no renegotiation needed. Forfeited the moment the client could
-    // hold anything else (reconnect, migration, viewport scaling).
-    if (!ref_lazy_arm_ok_ || viewport_.has_value() || window_server_ == nullptr) {
-      return;
-    }
-    const Surface& screen = window_server_->screen();
-    ArmReference(Surface(screen.width(), screen.height(), kBlack), Region());
-  }
-  // Commands that read the client framebuffer (COPY; transparent BITMAP
-  // blends over it) propagate staleness from their source into their
-  // destination; pure overwrites scrub it. The server-side DeltaCommand
-  // carries its reconstructed pixels, so it counts as an overwrite here
-  // even though its wire form is reference-dependent.
-  bool reads_stale = false;
-  switch (cmd.type()) {
-    case MsgType::kCopy: {
-      const auto& copy = static_cast<const CopyCommand&>(cmd);
-      reads_stale = !copy.SourceRegion().Intersect(ref_dirty_).empty();
-      break;
-    }
-    case MsgType::kBitmap:
-      reads_stale = cmd.overlap() == OverlapClass::kTransparent &&
-                    !cmd.region().Intersect(ref_dirty_).empty();
-      break;
-    default:
-      break;
-  }
-  cmd.Apply(&ref_screen_);
-  if (reads_stale) {
-    ref_dirty_ = ref_dirty_.Union(cmd.region());
-  } else {
-    ref_dirty_ = ref_dirty_.Subtract(cmd.region());
-  }
-}
-
-void ThincServer::MaybeDeltaEncode() {
-  if (!options_.adapt.enabled || !ref_armed_ || viewport_.has_value() ||
-      pending_ == nullptr || pending_->type() != MsgType::kRaw) {
-    return;
-  }
-  auto* raw = static_cast<RawCommand*>(pending_.get());
-  const Rect rect = raw->rect();
-  // Only full-rect RAWs qualify: a clipped region would need the delta
-  // payload re-clipped, which the wire format cannot express.
-  if (raw->region() != Region(rect)) {
-    return;
-  }
-  const CodecChoice choice =
-      codec_selector_.Choose(rect.area(), degradation_level_);
-  if (choice == CodecChoice::kIntra) {
-    return;
-  }
-  // Reference must be exact under the whole rect, and the rect must not
-  // overlap a live video overlay (client pixels there are video frames the
-  // reference never saw).
-  if (rect.Intersect(ref_screen_.bounds()) != rect ||
-      !ref_dirty_.Intersect(rect).empty()) {
-    return;
-  }
-  for (const auto& [id, st] : streams_) {
-    if (!Region(st.dst).Intersect(rect).empty()) {
-      return;
-    }
-  }
-  static Counter* delta_hits = MetricsRegistry::Get().GetCounter("codec.delta_hits");
-  static Counter* delta_fallbacks =
-      MetricsRegistry::Get().GetCounter("codec.delta_fallbacks");
-  static Counter* bytes_saved =
-      MetricsRegistry::Get().GetCounter("codec.delta_bytes_saved");
-  if (choice == CodecChoice::kDeltaSubsample) {
-    // Starved link: drop fidelity before diffing, same knob as the ladder's
-    // subsample rung (idempotent with it — SubsampleFidelity applies once).
-    if (raw->SubsampleFidelity(2)) {
-      cpu_->Charge(static_cast<double>(rect.area()) * cpucost::kResamplePerPixel);
-      raw->InternPayload(payloads_);
-    }
-  }
-  const std::vector<Pixel> ref_slice = ref_screen_.GetPixels(rect);
-  DeltaStats stats;
-  double delta_cost = 0;
-  std::vector<uint8_t> payload = DeltaEncode(ref_slice, raw->PixelData(),
-                                             rect.width, rect.height, &stats,
-                                             &delta_cost);
-  // Honest comparison against the intra frame this would replace. The intra
-  // encode work is genuinely done (EncodedSize() encodes and caches), so the
-  // delta path's CPU cost is intra + diff — the bet only pays in bytes.
-  const size_t intra_bytes = raw->EncodedSize();
-  const size_t delta_bytes = kFrameHeaderBytes + 16 + payload.size();
-  if (delta_bytes >= intra_bytes) {
-    delta_fallbacks->Inc();
-    return;
-  }
-  delta_hits->Inc();
-  bytes_saved->Inc(static_cast<int64_t>(intra_bytes - delta_bytes));
-  auto delta = std::make_unique<DeltaCommand>(
-      rect, raw->SharePayload(), std::move(payload),
-      raw->EncodeCpuCost() + delta_cost);
-  delta->set_trace_id(raw->trace_id());
-  delta->set_schedule_seq(raw->schedule_seq());
-  delta->set_queued_at(raw->queued_at());
-  pending_ = std::move(delta);
 }
 
 void ThincServer::ArmDifferentialResync() {

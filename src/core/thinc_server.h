@@ -35,10 +35,10 @@
 #include <string>
 
 #include "src/adapt/codec_selector.h"
-#include "src/adapt/net_estimator.h"
 #include "src/codec/rc4.h"
 #include "src/core/command.h"
 #include "src/core/command_queue.h"
+#include "src/core/delta_reference.h"
 #include "src/core/scheduler.h"
 #include "src/display/driver.h"
 #include "src/display/window_server.h"
@@ -280,9 +280,9 @@ class ThincServer : public DisplayDriver {
   const ThincServerOptions& options() const { return options_; }
 
  private:
-  struct MediaItem {
-    ByteBuffer frame;   // complete wire frame (ref-counted view)
-    bool is_video = false;
+  // A video frame awaiting the wire; its stream's next frame replaces it.
+  struct QueuedVideoFrame {
+    ByteBuffer frame;  // complete wire frame (ref-counted view)
     int32_t stream_id = -1;
   };
   struct VideoStreamState {
@@ -291,12 +291,26 @@ class ThincServer : public DisplayDriver {
     Rect dst;
     int64_t frames_seen = 0;  // decimation phase (keep the first of a group)
   };
+  // A client viewport smaller than the screen, as the scale factor num/den.
   struct Viewport {
-    int32_t width = 0;
-    int32_t height = 0;
-    // Scale factor as a rational num/den (num <= den).
     int32_t num = 1;
     int32_t den = 1;
+  };
+  // The flush's work in hand: a popped display command until it is framed,
+  // then the frame being committed. It all dies with the transport.
+  struct InFlight {
+    std::unique_ptr<Command> cmd;  // popped, not yet framed
+    bool prepared = false;         // its encode or shared wait has started
+    SimTime ready = 0;             // when that encode completes
+    SimTime encode_start = 0;      // when its encode CPU charge began
+    std::string cache_key;         // shared-frame-cache key of `cmd`
+    bool shared_wait = false;      // waiting on another viewer's encode
+    ByteBuffer frame;              // bytes being committed
+    size_t cursor = 0;
+    uint64_t trace_id = 0;  // telemetry span of `frame` (0 for media/control)
+    // Display command behind `frame`: the delta reference applies it once
+    // the last byte is committed.
+    std::unique_ptr<Command> committing;
   };
 
   bool IsOffscreen(DrawableId id) const { return id != kScreenDrawable; }
@@ -309,6 +323,15 @@ class ThincServer : public DisplayDriver {
   // again whenever its pixels change after insertion.
   void InternPayload(Command* cmd);
   std::vector<std::unique_ptr<Command>> ResizeForViewport(std::unique_ptr<Command> cmd);
+  // `src` resampled to `dst` as a RAW piece, charging the work. Callers fill
+  // `src` before the call so their pixel temporaries are freed before the
+  // resample allocates: holding one across it more than doubled the host
+  // time of a full-screen PDA resize (glibc 2.36, 4-core Xeon).
+  std::unique_ptr<RawCommand> Resampled(const Surface& src, const Rect& dst);
+  // RAW pixels of `r` read from `from`, clipped to it (null if nothing is).
+  std::unique_ptr<RawCommand> RawFrom(const Surface& from, const Rect& r) const;
+  // `r` in client coordinates: scaled to the viewport, if one is set.
+  Rect ToViewport(const Rect& r) const;
 
   // Wires receive/writable/closed callbacks to the current connection. The
   // closed callback captures the connection it was bound to and compares it
@@ -316,6 +339,9 @@ class ThincServer : public DisplayDriver {
   // notification from a retired connection cannot clobber a fresh session.
   void BindConnection();
   void OnConnectionClosed();
+  // Drops the in-flight frame, media, pull request and delta reference.
+  void DropTransportState();
+  void AnnounceStream(int32_t id, const VideoStreamState& st);
   // Re-sends kVideoSetup for every live stream after Attach() so the fresh
   // client can rebuild its stream table.
   void ReannounceStreams();
@@ -332,31 +358,20 @@ class ThincServer : public DisplayDriver {
   // armed differential resync; full-screen region == SendFullRefresh).
   void SendPartialRefresh(const Region& region);
 
-  // --- Adaptive codec (reference-frame machinery, DESIGN.md §15) ------------
-  // Arms the temporal reference: `base` becomes the delivered-content
-  // snapshot and `dirty` the region where it is not yet trustworthy.
-  void ArmReference(Surface base, Region dirty);
-  // Drops the reference (reconnect, rebind, viewport scaling): every
-  // subsequent update goes intra until a resync re-arms it.
-  void InvalidateReference();
-  // Folds a display command the client has provably received (its frame
-  // fully committed to the in-order transport) into the reference surface.
-  void ApplyToReference(const Command& cmd);
-  // At flush-prepare time: if the selector picks a temporal codec and the
-  // reference covers pending_'s rect, re-encodes pending_ as a DeltaCommand
-  // (falling back to intra when the delta is not smaller).
-  void MaybeDeltaEncode();
-
-  // Books the CPU time for encoding `pending_` and returns its completion
-  // time. RAW encodes above kEncodeSliceCostUs split into per-band slices
-  // landing on distinct cores (capped so each slice stays worth its
-  // scheduling overhead); everything else is one serial charge.
-  SimTime ChargeEncode(double cost_us);
-
   void ScheduleFlush(SimTime delay);
   // Aggregation window at the current degradation level (ladder stretch).
   SimTime EffectiveFlushInterval() const;
   void Flush();
+  // Starts committing `frame`, which carries `cmd` (null for media/control).
+  void StartFrame(ByteBuffer frame, std::unique_ptr<Command> cmd);
+  // Starts the in-flight command's frame from the shared frame cache, if
+  // another viewer's server already encoded it. Returns false on a miss.
+  bool PickUpSharedFrame(SimTime now);
+  // Books the CPU time for encoding the in-flight command. RAW encodes above
+  // kEncodeSliceCostUs split into per-band slices on distinct cores (capped
+  // so each slice stays worth its scheduling overhead); everything else is
+  // one serial charge.
+  void StartEncode(SimTime now);
   // Commits as much of `bytes` (starting at *cursor) as the socket accepts;
   // returns the number of bytes committed. Unencrypted bytes are handed to
   // the connection as a zero-copy slice; encryption copies once (the
@@ -378,24 +393,12 @@ class ThincServer : public DisplayDriver {
   std::map<int32_t, VideoStreamState> streams_;
   int32_t next_stream_id_ = 1;
 
-  std::deque<MediaItem> audio_queue_;
-  std::deque<MediaItem> video_queue_;
+  std::deque<ByteBuffer> audio_queue_;  // audio and control frames
+  std::deque<QueuedVideoFrame> video_queue_;
 
   // Flush state.
   bool flush_scheduled_ = false;
-  std::unique_ptr<Command> pending_;  // command being transmitted
-  ByteBuffer pending_frame_;          // its encoded bytes
-  size_t pending_cursor_ = 0;
-  bool pending_prepared_ = false;
-  SimTime pending_ready_ = 0;
-  SimTime pending_encode_start_ = 0;  // when the encode CPU charge began
-  // Telemetry span of the frame in pending_frame_ (0 for media/control);
-  // pushed onto the connection's wire-trace channel when the frame's last
-  // byte is committed.
-  uint64_t pending_trace_id_ = 0;
-  std::string pending_cache_key_;  // shared-frame-cache key of pending_
-  // True while idling for another viewer's in-flight encode of the same key.
-  bool pending_shared_wait_ = false;
+  InFlight inflight_;
   bool update_requested_ = false;  // client-pull mode
   // Recycled slabs for transient frames (media/control); a slab is reused
   // once its frame has fully drained out of the send path.
@@ -434,22 +437,8 @@ class ThincServer : public DisplayDriver {
   int64_t video_frames_decimated_ = 0;
   int degradation_level_ = 0;
 
-  // Adaptive codec state (all inert unless options_.adapt.enabled).
-  // `ref_screen_` mirrors, command by committed command, the framebuffer
-  // content the client provably holds; `ref_dirty_` is where that mirror is
-  // stale (divergent history, live video, pre-resync content) and deltas
-  // are forbidden. `pending_ref_cmd_` is the display command whose bytes
-  // are draining through pending_frame_ — folded into the reference when
-  // the frame's last byte is committed.
-  NetEstimator net_estimator_;
-  CodecSelector codec_selector_{AdaptOptions{}, nullptr};
-  Surface ref_screen_;
-  Region ref_dirty_;
-  bool ref_armed_ = false;
-  // A never-reattached session may arm lazily against the client's known
-  // initial (black) framebuffer; any reconnect forfeits that shortcut.
-  bool ref_lazy_arm_ok_ = true;
-  std::unique_ptr<Command> pending_ref_cmd_;
+  // The adaptive codec's reference (DESIGN.md §15), iff adapt.enabled.
+  std::optional<DeltaReference> reference_;
 };
 
 }  // namespace thinc

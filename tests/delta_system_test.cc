@@ -19,6 +19,7 @@
 #include "src/net/connection.h"
 #include "src/net/link.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/telemetry.h"
 #include "src/workload/web.h"
 
 namespace thinc {
@@ -190,6 +191,93 @@ TEST(DeltaSystemTest, ReconnectWithActiveDeltaResyncsExactly) {
   EXPECT_EQ(MismatchedPixels(sys.client()->framebuffer(),
                              sys.window_server()->screen()),
             0);
+}
+
+TEST(DeltaSystemTest, RebindOfAnOpenTransportDropsTheReference) {
+  // Reconnect() on a transport nobody reset yet: the rebind resets it and
+  // attaches the new one in the same event, so the old transport's close
+  // notification arrives stale and is ignored. The bytes the reset discarded
+  // were committed, so the reference must go with the rebind itself.
+  EventLoop loop;
+  ThincSystem sys(&loop, WanDesktopLink(), 160, 120, AdaptOn());
+  sys.window_server()->FillRect(kScreenDrawable, Rect{0, 0, 160, 120},
+                                MakePixel(30, 60, 90));
+  const int64_t hits0 = DeltaHits();
+  for (int r = 0; r < 3; ++r) {
+    sys.window_server()->PutImage(kScreenDrawable, Rect{20, 20, kWinW, kWinH},
+                                  WindowFrame(kWinW, kWinH, r));
+    loop.RunUntil(loop.now() + 500 * kMillisecond);
+  }
+  ASSERT_GT(DeltaHits(), hits0) << "delta never engaged before the rebind";
+  // Leave a frame half-delivered, then rebind without a reset first.
+  sys.window_server()->PutImage(kScreenDrawable, Rect{20, 20, kWinW, kWinH},
+                                WindowFrame(kWinW, kWinH, 3));
+  loop.RunUntil(loop.now() + 36 * kMillisecond);
+  const int64_t invalidations0 = ReferenceInvalidations();
+  sys.Reconnect(WanDesktopLink());
+  EXPECT_GT(ReferenceInvalidations(), invalidations0)
+      << "a rebind must drop the reference frame";
+  loop.Run();
+  for (int r = 4; r < 7; ++r) {
+    sys.window_server()->PutImage(kScreenDrawable, Rect{20, 20, kWinW, kWinH},
+                                  WindowFrame(kWinW, kWinH, r));
+    loop.RunUntil(loop.now() + 500 * kMillisecond);
+  }
+  loop.Run();
+  EXPECT_EQ(MismatchedPixels(sys.client()->framebuffer(),
+                             sys.window_server()->screen()),
+            0);
+}
+
+// --- Telemetry never steers the adaptive codec ---------------------------------
+
+struct WanWire {
+  uint64_t hash = 0;
+  int64_t bytes = 0;
+  SimTime end = 0;
+  int64_t delta_hits = 0;
+};
+
+// Six window repaints over the WAN with adaptation on, under telemetry
+// configuration `config` (installed before the session is built: servers
+// register their trace hosts in their constructors).
+WanWire RunWanDesktopUnder(const TelemetryConfig& config) {
+  Telemetry& telemetry = Telemetry::Get();
+  telemetry.Configure(config);
+  telemetry.ResetRuntime();
+  const int64_t hits0 = DeltaHits();
+  EventLoop loop;
+  ThincSystem sys(&loop, WanDesktopLink(), 160, 120, AdaptOn());
+  sys.window_server()->FillRect(kScreenDrawable, Rect{0, 0, 160, 120},
+                                MakePixel(30, 60, 90));
+  for (int r = 0; r < 6; ++r) {
+    sys.window_server()->PutImage(kScreenDrawable, Rect{20, 20, kWinW, kWinH},
+                                  WindowFrame(kWinW, kWinH, r));
+    loop.RunUntil(loop.now() + 500 * kMillisecond);
+  }
+  loop.Run();
+  WanWire out;
+  out.hash = sys.connection()->DeliveredHashTo(Connection::kClient);
+  out.bytes = sys.connection()->BytesDeliveredTo(Connection::kClient);
+  out.end = loop.now();
+  out.delta_hits = DeltaHits() - hits0;
+  telemetry.Configure(TelemetryConfig{});
+  telemetry.ResetRuntime();
+  return out;
+}
+
+TEST(DeltaSystemTest, TelemetryOnAndOffShipTheSameDeltas) {
+  const WanWire off = RunWanDesktopUnder(TelemetryConfig{});
+  TelemetryConfig all;
+  all.spans = true;
+  all.chrome_trace = true;
+  all.flight_recorder = true;
+  const WanWire on = RunWanDesktopUnder(all);
+  EXPECT_GT(off.delta_hits, 0) << "delta never engaged: the run proves nothing";
+  EXPECT_EQ(on.delta_hits, off.delta_hits);
+  EXPECT_EQ(on.hash, off.hash);
+  EXPECT_EQ(on.bytes, off.bytes);
+  EXPECT_EQ(on.end, off.end);
 }
 
 // --- Multi-core determinism with the selector in the loop --------------------

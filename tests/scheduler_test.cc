@@ -63,10 +63,9 @@ TEST(SchedulerTest, RealtimeQueuePreempts) {
 }
 
 TEST(SchedulerTest, RealtimeWindowExpires) {
-  SchedulerOptions options;
-  UpdateScheduler sched(options);
+  UpdateScheduler sched;
   sched.NoteInput(Point{500, 500}, 0);
-  SimTime late = options.rt_window + 1;
+  SimTime late = UpdateScheduler::kRealtimeWindow + 1;
   sched.Insert(Sfill(Rect{0, 0, 5, 5}), late);
   sched.Insert(Sfill(Rect{495, 495, 20, 20}), late);
   // Input stale: plain FIFO within the band.
@@ -203,9 +202,8 @@ TEST(SchedulerTest, ClearEmptiesEverythingAndDropsInputHotspot) {
 }
 
 TEST(SchedulerTest, StarvationPromotesAgedBandFront) {
-  SchedulerOptions options;
-  options.starvation_limit = 10;
-  UpdateScheduler sched(options);
+  UpdateScheduler sched;
+  sched.set_starvation_limit(10);
   sched.Insert(RawOfSize(Rect{200, 0, 100, 100}), 1);  // high band
   sched.Insert(Sfill(Rect{0, 0, 50, 50}), 900);        // band 0, fresh
   // The RAW's age exceeds the limit and nothing overlaps it: promoted over
@@ -219,9 +217,8 @@ TEST(SchedulerTest, StarvationPromotionBlockedByOlderCompleteOverlap) {
   // flush it first and the older fill would later redraw stale pixels over
   // the newer content at the client; the promotion must be skipped so the
   // fill still flushes first.
-  SchedulerOptions options;
-  options.starvation_limit = 10;
-  UpdateScheduler sched(options);
+  UpdateScheduler sched;
+  sched.set_starvation_limit(10);
   sched.Insert(Sfill(Rect{0, 0, 50, 50}), 0);          // older complete, band 0
   sched.Insert(RawOfSize(Rect{20, 20, 100, 100}), 1);  // newer partial, aged
   EXPECT_EQ(sched.PopNext(1000)->type(), MsgType::kSfill);
