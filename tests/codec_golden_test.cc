@@ -1,9 +1,11 @@
 // Golden gate for the frame-path kernels. Every output of LzssEncode,
 // LzssDecode (on valid, truncated and bit-flipped streams), PngLikeEncode,
+// HextileEncode, HextileDecode (on valid, truncated and malformed streams),
 // the RC4 keystream and Yv12ScaleToRgb over a fixed seeded corpus is folded
 // into an FNV-1a hash, and each hash is pinned. The pinned values were
-// recorded from the plain byte-at-a-time kernels, so any rewrite of those
-// kernels must reproduce every output byte to pass.
+// recorded from the plain byte-at-a-time kernels (Hextile's from its
+// per-tile std::map histogram), so any rewrite of those kernels must
+// reproduce every output byte to pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/codec/hextile.h"
 #include "src/codec/lzss.h"
 #include "src/codec/pnglike.h"
 #include "src/codec/rc4.h"
@@ -320,6 +323,236 @@ TEST(CodecGoldenPngLike, Images) {
     fnv.Bytes(enc);
   }
   EXPECT_GOLDEN(fnv.value(), 0xF9D3DFAE2FE39780ULL);
+}
+
+// --- Hextile ---------------------------------------------------------------------
+
+struct PixelImage {
+  int32_t w, h;
+  std::vector<Pixel> px;
+};
+
+// A pixel's place in the encoder's tiling: tile `t` (in encoding order) is
+// tw x th, and (x, y) is the pixel's position inside it.
+struct TilePos {
+  int t;
+  int32_t tw, th, x, y;
+};
+
+// Paints a w x h image with `paint(TilePos)`, called tile by tile in the
+// encoder's order and in raster order within each tile.
+template <typename Paint>
+PixelImage PaintTiles(int32_t w, int32_t h, Paint paint) {
+  PixelImage im{w, h, std::vector<Pixel>(static_cast<size_t>(w) * h)};
+  int t = 0;
+  for (int32_t ty = 0; ty < h; ty += 16) {
+    for (int32_t tx = 0; tx < w; tx += 16, ++t) {
+      int32_t tw = std::min(16, w - tx);
+      int32_t th = std::min(16, h - ty);
+      for (int32_t y = 0; y < th; ++y) {
+        for (int32_t x = 0; x < tw; ++x) {
+          im.px[static_cast<size_t>(ty + y) * w + tx + x] =
+              paint(TilePos{t, tw, th, x, y});
+        }
+      }
+    }
+  }
+  return im;
+}
+
+Pixel SolidColor(const TilePos& p) {
+  return 0xFF000000u | ((static_cast<uint32_t>(p.t) * 2654435761u) >> 8);
+}
+
+// `k` bands in raster order, painted from the largest color down: when k
+// divides the tile's area every band ties for most frequent, and the
+// smallest color, painted last, must win the background.
+Pixel BandColor(const TilePos& p, int k) {
+  int band = (p.y * p.tw + p.x) * k / (p.tw * p.th);
+  return 0xFFF0F0F0u - static_cast<uint32_t>(band) * 0x00111111u +
+         static_cast<uint32_t>(p.t % 5);
+}
+
+// Tile t draws from 2 + t % 7 random colors. A blocky tile keeps the
+// previous color with probability 5/6 (runs, so subrects can pay); a
+// scattered one picks afresh for every pixel (so most such tiles go raw).
+struct FewColors {
+  FewColors(uint64_t seed, bool blocky) : rng(seed), blocky(blocky) {}
+
+  Pixel operator()(const TilePos& p) {
+    if (p.t != tile) {
+      tile = p.t;
+      palette.resize(static_cast<size_t>(2 + p.t % 7));
+      for (Pixel& c : palette) {
+        c = static_cast<Pixel>(rng.Next()) | 0xFF000000u;
+      }
+    }
+    if (p.x + p.y == 0 || !blocky || rng.NextBelow(6) == 0) {
+      last = palette[rng.NextBelow(palette.size())];
+    }
+    return last;
+  }
+
+  Prng rng;
+  bool blocky;
+  int tile = -1;
+  std::vector<Pixel> palette;
+  Pixel last = 0;
+};
+
+// Every kind of tile, chosen by tile index: solid, tied bands (2-8
+// colors), blocky and scattered few-color tiles, nine bands, noise.
+PixelImage MixedTiles(int32_t w, int32_t h, uint64_t seed) {
+  FewColors blocky(seed, true);
+  FewColors scattered(seed + 1, false);
+  Prng noise(seed + 2);
+  return PaintTiles(w, h, [&](const TilePos& p) -> Pixel {
+    switch (p.t % 6) {
+      case 0:
+        return SolidColor(p);
+      case 1:
+        return BandColor(p, 2 + (p.t / 6) % 7);
+      case 2:
+        return blocky(p);
+      case 3:
+        return scattered(p);
+      case 4:
+        return BandColor(p, 9);
+      default:
+        return static_cast<Pixel>(noise.Next());
+    }
+  });
+}
+
+PixelImage Noise(int32_t w, int32_t h, uint64_t seed) {
+  std::vector<uint8_t> bytes = RandomBytes(static_cast<size_t>(w) * h * 4, seed);
+  PixelImage im{w, h, std::vector<Pixel>(static_cast<size_t>(w) * h)};
+  std::memcpy(im.px.data(), bytes.data(), bytes.size());
+  return im;
+}
+
+// Encodes each image, checks the round trip, and returns the hash of all
+// encodings.
+uint64_t HextileEncodeHash(const std::vector<PixelImage>& images) {
+  Fnv fnv;
+  for (const PixelImage& im : images) {
+    std::vector<uint8_t> enc = HextileEncode(im.px, im.w, im.h);
+    std::vector<Pixel> dec;
+    EXPECT_TRUE(HextileDecode(enc, im.w, im.h, &dec)) << im.w << "x" << im.h;
+    EXPECT_EQ(dec, im.px) << im.w << "x" << im.h;
+    fnv.U64(static_cast<uint64_t>(im.w));
+    fnv.U64(static_cast<uint64_t>(im.h));
+    fnv.U64(enc.size());
+    fnv.Bytes(enc);
+  }
+  return fnv.value();
+}
+
+TEST(CodecGoldenHextileEncode, SolidTiles) {
+  std::vector<PixelImage> images;
+  for (const auto& [w, h] : {std::pair{64, 48}, {33, 17}, {1, 1}}) {
+    images.push_back(PaintTiles(w, h, SolidColor));
+  }
+  images.push_back({48, 16, std::vector<Pixel>(48 * 16, 0)});
+  EXPECT_GOLDEN(HextileEncodeHash(images), 0x1153DE0ACD6B5C8BULL);
+}
+
+TEST(CodecGoldenHextileEncode, TiedBands) {
+  // 2 to 8 bands by tile: whole tiles, and edge tiles of 8x16, 16x4, 8x4
+  // and 16x2, whose areas 2, 4 and 8 all divide.
+  std::vector<PixelImage> images;
+  for (const auto& [w, h] : {std::pair{112, 64}, {120, 36}, {64, 34}}) {
+    images.push_back(
+        PaintTiles(w, h, [](const TilePos& p) { return BandColor(p, 2 + p.t % 7); }));
+  }
+  EXPECT_GOLDEN(HextileEncodeHash(images), 0x8F8A25AEA2377942ULL);
+}
+
+TEST(CodecGoldenHextileEncode, FewColorTiles) {
+  std::vector<PixelImage> images;
+  for (bool blocky : {true, false}) {
+    images.push_back(PaintTiles(160, 96, FewColors(blocky ? 61 : 62, blocky)));
+  }
+  EXPECT_GOLDEN(HextileEncodeHash(images), 0x7A4F5379C1992B27ULL);
+}
+
+TEST(CodecGoldenHextileEncode, NineColorTiles) {
+  // Nine bands, and eight bands with a ninth color in only the first or
+  // the last pixel: every tile has nine colors, so every tile goes raw.
+  std::vector<PixelImage> images;
+  images.push_back(PaintTiles(64, 40, [](const TilePos& p) { return BandColor(p, 9); }));
+  for (bool first : {true, false}) {
+    images.push_back(PaintTiles(64, 40, [first](const TilePos& p) {
+      bool ninth = first ? p.x + p.y == 0 : p.x == p.tw - 1 && p.y == p.th - 1;
+      return ninth ? kBlack : BandColor(p, 8);
+    }));
+  }
+  EXPECT_GOLDEN(HextileEncodeHash(images), 0xE18F65F45C9C5FCFULL);
+}
+
+TEST(CodecGoldenHextileEncode, Noise) {
+  EXPECT_GOLDEN(HextileEncodeHash({Noise(64, 64, 13), Noise(37, 21, 14)}),
+                0x9556325225B4863BULL);
+}
+
+TEST(CodecGoldenHextileEncode, OddSizes) {
+  const int32_t sizes[] = {1, 2, 3, 7, 15, 17, 31, 33};
+  std::vector<PixelImage> images;
+  uint64_t seed = 70;
+  for (int32_t w : sizes) {
+    for (int32_t h : sizes) {
+      images.push_back(MixedTiles(w, h, seed++));
+    }
+  }
+  EXPECT_GOLDEN(HextileEncodeHash(images), 0xF17FEB095547ED2AULL);
+}
+
+TEST(CodecGoldenHextileEncode, UpscaledVideoFrameWhole) {
+  Surface frame = UpscaledVideoFrame();
+  std::span<const Pixel> px = frame.pixels();
+  EXPECT_GOLDEN(HextileEncodeHash({{1024, 768, std::vector<Pixel>(px.begin(), px.end())}}),
+                0x5D61117A070D0107ULL);
+}
+
+// Decodes `stream` into an output that starts non-empty, and folds the
+// verdict plus the whole (possibly partial) output.
+void FoldHextileDecode(std::span<const uint8_t> stream, int32_t w, int32_t h, Fnv* fnv) {
+  std::vector<Pixel> out(3, 0xEEEEEEEE);
+  bool ok = HextileDecode(stream, w, h, &out);
+  fnv->U64(ok ? 1 : 0);
+  fnv->U64(out.size());
+  fnv->Bytes(AsBytes(out));
+}
+
+TEST(CodecGoldenHextileDecode, EveryTruncation) {
+  // Nine tiles of every kind, each raw one cut at every byte.
+  PixelImage im = MixedTiles(48, 40, 90);
+  std::vector<uint8_t> enc = HextileEncode(im.px, im.w, im.h);
+  Fnv fnv;
+  for (size_t len = 0; len <= enc.size(); ++len) {
+    FoldHextileDecode(std::span<const uint8_t>(enc).first(len), im.w, im.h, &fnv);
+  }
+  EXPECT_GOLDEN(fnv.value(), 0xAE3D5FFD2961F568ULL);
+}
+
+TEST(CodecGoldenHextileDecode, HandMadeStreams) {
+  // Each stream is one 3x2 tile.
+  const std::vector<std::vector<uint8_t>> streams = {
+      {},
+      {0x03},                                               // unknown tile kind
+      {0x01, 0x11, 0x22, 0x33, 0x44},                       // solid
+      {0x01, 0x11, 0x22, 0x33, 0x44, 0x99},                 // a trailing byte
+      {0x02, 1, 2, 3, 4, 0x01, 0x00, 1, 1, 2, 5, 6, 7, 8},  // one subrect
+      {0x02, 1, 2, 3, 4, 0x01, 0x00, 2, 0, 2, 5, 6, 7, 8},  // past the right edge
+      {0x02, 1, 2, 3, 4, 0x01, 0x00, 0, 2, 1, 5, 6, 7, 8},  // below the tile
+      {0x02, 1, 2, 3, 4, 0x02, 0x00, 0, 0, 1, 5, 6, 7, 8},  // second subrect missing
+      {0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13},    // raw, cut in pixel 4
+  };
+  Fnv fnv;
+  for (const std::vector<uint8_t>& s : streams) {
+    FoldHextileDecode(s, 3, 2, &fnv);
+  }
+  EXPECT_GOLDEN(fnv.value(), 0xC7E3E5A23AA5B85EULL);
 }
 
 // --- RC4 ---------------------------------------------------------------------------------------
