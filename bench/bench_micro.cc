@@ -138,6 +138,33 @@ void BM_HextileEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_HextileEncode);
 
+// VNC's encoder on a full-screen video frame: almost every tile goes raw.
+void BM_HextileEncodeVideoFrame(benchmark::State& state) {
+  Surface frame = UpscaledVideoFrame();
+  for (auto _ : state) {
+    std::vector<uint8_t> enc = HextileEncode(frame.pixels(), frame.width(), frame.height());
+    benchmark::DoNotOptimize(enc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          frame.pixels().size() * 4);
+}
+BENCHMARK(BM_HextileEncodeVideoFrame);
+
+void BM_HextileDecode(benchmark::State& state) {
+  std::vector<Pixel> px = ScreenLikePixels(256, 256);
+  std::vector<uint8_t> enc = HextileEncode(px, 256, 256);
+  for (auto _ : state) {
+    std::vector<Pixel> dec;
+    bool ok = HextileDecode(enc, 256, 256, &dec);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(dec.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * px.size() * 4);
+}
+BENCHMARK(BM_HextileDecode);
+
 void BM_Rle32Encode(benchmark::State& state) {
   std::vector<Pixel> px = ScreenLikePixels(256, 256);
   for (auto _ : state) {

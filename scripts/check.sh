@@ -3,9 +3,10 @@
 # goldens, and the full test suite under the sanitizers.
 #
 #   1. Configure+build the `default` preset, run the full test suite (the
-#      tier-1 bar: everything must pass), the bench smokes, bench_codec
-#      against its golden JSON (bench/golden/codec.json), and bench_paper
-#      against its golden stdout (bench/golden/paper.txt).
+#      tier-1 bar: everything must pass), the bench smokes, the perfbench
+#      selftest, bench_codec against its golden JSON
+#      (bench/golden/codec.json), and bench_paper against its golden stdout
+#      (bench/golden/paper.txt).
 #   2. Configure+build the `sanitize` preset (ASan+UBSan, build-asan/) and
 #      run the full test suite under the sanitizers.
 #
@@ -61,6 +62,11 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   # that blackout p95 stays under the full-refresh handoff bound.
   echo "== cluster smoke: bench_cluster --smoke =="
   ./build/bench/bench_cluster --smoke
+
+  # Benchmark selftest: perfbench's own tests, built (Release) into the
+  # gitignored .bench_build/ by perfbench/run.py.
+  echo "== perfbench selftest: perfbench/run.py --selftest =="
+  python3 perfbench/run.py --selftest
 
   # Codec golden: bench_codec's full run with adaptive selection on — the
   # ladder rung sweep, the WAN equal-fidelity A/B (THINC_CHECKs that the

@@ -176,29 +176,30 @@ void RdpSystem::SendImage(const Rect& rect, std::span<const Pixel> pixels,
     SendOrder(Msg::kImageCached, &w, server_cpu_.Charge(kOrderCost));
     return;
   }
-  bitmap_cache_.insert(hash);
 
   std::span<const uint8_t> raw(reinterpret_cast<const uint8_t*>(pixels.data()),
                                pixels.size() * sizeof(Pixel));
-  std::vector<uint8_t> encoded = LzssEncode(raw);
   double cost = kOrderCost + cpucost::kLzssPerByte * static_cast<double>(raw.size());
   if (options_.aggressive) {
     cost *= 1.5;  // tighter search in the WAN profile
   }
   cost *= options_.processing_scale;
+  // Video frames are keyed by geometry: while the previous frame at this
+  // rect waits untransmitted, the new one is dropped (SendQueue). A dropped
+  // frame still costs its compression, but is neither encoded nor cached.
+  const int64_t key = video_hint ? RectKey(rect) : -1;
+  if (out_->WouldReject(key)) {
+    server_cpu_.Charge(cost);
+    return;
+  }
+  bitmap_cache_.insert(hash);
+  std::vector<uint8_t> encoded = LzssEncode(raw);
   WireWriter w;
   w.RectVal(rect);
   w.I64(static_cast<int64_t>(hash));
   w.U32(static_cast<uint32_t>(raw.size()));
   w.U32(static_cast<uint32_t>(encoded.size()));
   w.Bytes(encoded);
-  // Video frames coalesce under pressure (same geometry key): outdated
-  // frames are replaced before transmission.
-  int64_t key = -1;
-  if (video_hint) {
-    key = (static_cast<int64_t>(rect.x) << 40) ^ (static_cast<int64_t>(rect.y) << 24) ^
-          (static_cast<int64_t>(rect.width) << 12) ^ rect.height;
-  }
   SendOrder(Msg::kImage, &w, server_cpu_.Charge(cost), key);
 }
 

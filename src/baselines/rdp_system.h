@@ -11,8 +11,9 @@
 //   * No offscreen awareness: pixmap drawing is ignored, copies from
 //     offscreen arrive as image data read back from the screen.
 //   * No transparent video path in the standard products: frames arrive as
-//     software-converted RGB images; the outbound queue coalesces outdated
-//     frames (dropped frames) under pressure.
+//     software-converted RGB images; under pressure the outbound queue
+//     drops a fresh frame while its predecessor at the same rect still
+//     waits untransmitted (dropped frames).
 //   * Audio is supported, lossily compressed ~4:1.
 //   * PDA: RDP clips the viewport; ICA resizes on the client (full-size
 //     data, slow client-side resample — Section 8.3's latency observation).

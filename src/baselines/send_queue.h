@@ -11,7 +11,9 @@
 // false) — the already-compressed predecessor goes out and the fresh frame
 // is dropped, exactly what happens when a real encode pipeline outruns the
 // wire. Push-model baselines use this for video updates; the rejections are
-// their dropped frames.
+// their dropped frames. WouldReject asks the same question before a frame
+// is built, so a sender can charge a dropped frame's encode cost without
+// producing bytes that would be thrown away.
 #ifndef THINC_SRC_BASELINES_SEND_QUEUE_H_
 #define THINC_SRC_BASELINES_SEND_QUEUE_H_
 
@@ -22,8 +24,16 @@
 
 #include "src/net/connection.h"
 #include "src/util/event_loop.h"
+#include "src/util/geometry.h"
 
 namespace thinc {
+
+// The key of an update that supersedes the previous one at exactly this
+// rectangle (a video frame, a re-sampled tile).
+inline int64_t RectKey(const Rect& rect) {
+  return (static_cast<int64_t>(rect.x) << 40) ^ (static_cast<int64_t>(rect.y) << 24) ^
+         (static_cast<int64_t>(rect.width) << 12) ^ rect.height;
+}
 
 class SendQueue {
  public:
@@ -32,15 +42,19 @@ class SendQueue {
     conn_->SetWritable(endpoint_, [this] { Pump(); });
   }
 
-  // Returns false if the frame was rejected because a same-key frame is
-  // still waiting to start transmission (the caller should count a drop).
+  // True if Enqueue would reject a frame with this key now: a same-key
+  // frame is queued and has not started transmission. Key -1 never is.
+  bool WouldReject(int64_t key) const {
+    return key >= 0 && std::ranges::any_of(queue_, [key](const Item& item) {
+             return item.key == key && item.cursor == 0;
+           });
+  }
+
+  // Returns false if the frame was rejected (see WouldReject; the caller
+  // should count a drop).
   bool Enqueue(std::vector<uint8_t> frame, SimTime release = 0, int64_t key = -1) {
-    if (key >= 0) {
-      for (Item& item : queue_) {
-        if (item.key == key && item.cursor == 0) {
-          return false;
-        }
-      }
+    if (WouldReject(key)) {
+      return false;
     }
     Item item;
     item.bytes = std::move(frame);

@@ -72,10 +72,6 @@ void SunRaySystem::InferAndSend(const Rect& rect, bool from_video) {
 }
 
 void SunRaySystem::InferTile(const Rect& rect) {
-  int64_t key = (static_cast<int64_t>(rect.x) << 40) ^
-                (static_cast<int64_t>(rect.y) << 24) ^
-                (static_cast<int64_t>(rect.width) << 12) ^ rect.height;
-
   std::vector<Pixel> pixels = server_ws_->screen().GetPixels(rect);
   const double raw_bytes = static_cast<double>(pixels.size() * sizeof(Pixel));
   // "Reduced to pixel data then sampled": per-pixel analysis cost.
@@ -103,6 +99,20 @@ void SunRaySystem::InferTile(const Rect& rect) {
     SendFill(Region(rect), c0);
     return;
   }
+  if (distinct != 2) {
+    // A pixel update also pays for its encode: LZSS when aggressive, else RLE.
+    cost += (options_.aggressive_compression ? cpucost::kLzssPerByte
+                                             : cpucost::kRlePerByte) *
+            raw_bytes;
+  }
+  // Bitmap and pixel updates are keyed by their rect: while the previous
+  // one there waits untransmitted, this one is dropped (SendQueue). A
+  // dropped update still costs its analysis and encode, but is never built.
+  const int64_t key = RectKey(rect);
+  if (out_->WouldReject(key)) {
+    server_cpu_.Charge(cost);
+    return;
+  }
   if (distinct == 2) {
     // This update ships when ITS analysis completes (the Charge() return),
     // not at the whole host's busy_until() max.
@@ -128,19 +138,10 @@ void SunRaySystem::InferTile(const Rect& rect) {
 
   std::span<const uint8_t> raw(reinterpret_cast<const uint8_t*>(pixels.data()),
                                pixels.size() * sizeof(Pixel));
-  std::vector<uint8_t> encoded;
-  uint8_t mode;
-  if (options_.aggressive_compression) {
-    encoded = LzssEncode(raw);
-    cost += cpucost::kLzssPerByte * raw_bytes;
-    mode = 1;
-  } else {
-    // Fast-link profile: pixel-granular RLE, cheap and effective on flat
-    // regions.
-    encoded = Rle32Encode(pixels);
-    cost += cpucost::kRlePerByte * raw_bytes;
-    mode = 0;
-  }
+  // Fast-link profile (mode 0): pixel-granular RLE, cheap and effective on
+  // flat regions.
+  const uint8_t mode = options_.aggressive_compression ? 1 : 0;
+  std::vector<uint8_t> encoded = mode == 1 ? LzssEncode(raw) : Rle32Encode(pixels);
   WireWriter w;
   w.RectVal(rect);
   w.U8(mode);

@@ -14,7 +14,8 @@
 //   * No transparent video support: frames reach the driver as software-
 //     converted RGB images and go down the inference path.
 //   * Adaptive compression: RLE on fast links, LZSS when aggressive.
-//   * Server-push delivery with coalescing of outdated full-rect updates.
+//   * Server-push delivery; under pressure a fresh update is dropped while
+//     its predecessor at the same rect still waits untransmitted.
 #ifndef THINC_SRC_BASELINES_SUNRAY_SYSTEM_H_
 #define THINC_SRC_BASELINES_SUNRAY_SYSTEM_H_
 

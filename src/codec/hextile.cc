@@ -1,13 +1,15 @@
 #include "src/codec/hextile.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <map>
 
 namespace thinc {
 namespace {
 
 constexpr int32_t kTile = 16;
+// A tile with more distinct colors than this is sent raw.
+constexpr int kMaxSubrectColors = 8;
 
 enum TileKind : uint8_t {
   kRaw = 0,
@@ -15,11 +17,16 @@ enum TileKind : uint8_t {
   kSubrects = 2,
 };
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
+// Raw tiles move whole pixel rows with memcpy, which writes the wire's
+// little-endian byte order only on a little-endian host.
+static_assert(std::endian::native == std::endian::little);
+
+uint8_t* PutU32(uint8_t* out, uint32_t v) {
+  out[0] = static_cast<uint8_t>(v);
+  out[1] = static_cast<uint8_t>(v >> 8);
+  out[2] = static_cast<uint8_t>(v >> 16);
+  out[3] = static_cast<uint8_t>(v >> 24);
+  return out + 4;
 }
 
 bool GetU32(std::span<const uint8_t> in, size_t* i, uint32_t* v) {
@@ -33,86 +40,151 @@ bool GetU32(std::span<const uint8_t> in, size_t* i, uint32_t* v) {
   return true;
 }
 
+// The distinct colors of one tile and their pixel counts. A tile's kind
+// depends only on how many there are (1, 2-8, or more), so the census
+// stops at the ninth.
+class ColorTable {
+ public:
+  // Counts `n` more pixels of `color`; false once a ninth color shows up.
+  bool Add(Pixel color, int n) {
+    for (int k = 0; k < size_; ++k) {
+      if (colors_[k] == color) {
+        counts_[k] += n;
+        return true;
+      }
+    }
+    if (size_ == kMaxSubrectColors) {
+      return false;
+    }
+    colors_[size_] = color;
+    counts_[size_] = n;
+    ++size_;
+    return true;
+  }
+
+  int size() const { return size_; }
+  Pixel first() const { return colors_[0]; }
+
+  // The most frequent color; ties go to the smallest value, the one a scan
+  // of a color-sorted histogram with a strict > keeps.
+  Pixel Background() const {
+    int best = 0;
+    for (int k = 1; k < size_; ++k) {
+      if (counts_[k] > counts_[best] ||
+          (counts_[k] == counts_[best] && colors_[k] < colors_[best])) {
+        best = k;
+      }
+    }
+    return colors_[best];
+  }
+
+ private:
+  Pixel colors_[kMaxSubrectColors] = {};
+  int counts_[kMaxSubrectColors] = {};
+  int size_ = 0;
+};
+
+// A raw tile's size, which no tile exceeds: the kind byte and the pixels.
+size_t RawTileSize(int32_t tw, int32_t th) {
+  return 1 + static_cast<size_t>(tw) * th * sizeof(Pixel);
+}
+
+// Length of the run of `row[x]`'s color starting at x, at most tw - x.
+int32_t RunLength(const Pixel* row, int32_t x, int32_t tw) {
+  int32_t x2 = x + 1;
+  while (x2 < tw && row[x2] == row[x]) {
+    ++x2;
+  }
+  return x2 - x;
+}
+
+// Writes a subrects tile at `out`: background `bg`, then the horizontal
+// runs of every other color. Returns its end, or nullptr once it would
+// reach the size of the same tile sent raw.
+uint8_t* PutSubrects(const Pixel* tile, size_t stride, int32_t tw, int32_t th, Pixel bg,
+                     uint8_t* out) {
+  const size_t raw_size = RawTileSize(tw, th);
+  uint8_t* p = out + 7;
+  for (int32_t y = 0; y < th; ++y) {
+    const Pixel* row = tile + y * stride;
+    for (int32_t x = 0; x < tw;) {
+      if (row[x] == bg) {
+        ++x;
+        continue;
+      }
+      if (static_cast<size_t>(p - out) + 7 >= raw_size) {
+        return nullptr;
+      }
+      int32_t n = RunLength(row, x, tw);
+      p[0] = static_cast<uint8_t>(x);
+      p[1] = static_cast<uint8_t>(y);
+      p[2] = static_cast<uint8_t>(n);
+      p = PutU32(p + 3, row[x]);
+      x += n;
+    }
+  }
+  const size_t runs = static_cast<size_t>(p - out - 7) / 7;
+  out[0] = kSubrects;
+  PutU32(out + 1, bg);
+  out[5] = static_cast<uint8_t>(runs & 0xFF);
+  out[6] = static_cast<uint8_t>(runs >> 8);
+  return p;
+}
+
+// Writes one tile at `out` and returns its end. `tile` points at the
+// tile's top-left pixel in an image `stride` pixels wide.
+uint8_t* EncodeTile(const Pixel* tile, size_t stride, int32_t tw, int32_t th,
+                    uint8_t* out) {
+  ColorTable table;
+  bool few = true;
+  for (int32_t y = 0; y < th && few; ++y) {
+    const Pixel* row = tile + y * stride;
+    for (int32_t x = 0; x < tw && few;) {
+      int32_t n = RunLength(row, x, tw);
+      few = table.Add(row[x], n);
+      x += n;
+    }
+  }
+  if (few && table.size() == 1) {
+    out[0] = kSolid;
+    return PutU32(out + 1, table.first());
+  }
+  if (few) {
+    uint8_t* end = PutSubrects(tile, stride, tw, th, table.Background(), out);
+    if (end != nullptr) {
+      return end;
+    }
+  }
+  out[0] = kRaw;
+  uint8_t* p = out + 1;
+  for (int32_t y = 0; y < th; ++y) {
+    std::memcpy(p, tile + y * stride, static_cast<size_t>(tw) * sizeof(Pixel));
+    p += static_cast<size_t>(tw) * sizeof(Pixel);
+  }
+  return p;
+}
+
 }  // namespace
 
 std::vector<uint8_t> HextileEncode(std::span<const Pixel> pixels, int32_t width,
                                    int32_t height) {
+  // Reserving every tile's raw size up front means the buffer never moves.
+  // Growing it by one tile's raw size at a time zeroes and touches only
+  // bytes near its end; zeroing the whole bound at once touched megabytes
+  // for a large flat update that encodes to a few percent of that.
+  const size_t tiles =
+      static_cast<size_t>((width + kTile - 1) / kTile) * ((height + kTile - 1) / kTile);
   std::vector<uint8_t> out;
+  out.reserve(tiles + static_cast<size_t>(width) * height * sizeof(Pixel));
   for (int32_t ty = 0; ty < height; ty += kTile) {
     for (int32_t tx = 0; tx < width; tx += kTile) {
-      int32_t tw = std::min(kTile, width - tx);
-      int32_t th = std::min(kTile, height - ty);
-      // Histogram of tile colors.
-      std::map<Pixel, int> hist;
-      for (int32_t y = 0; y < th; ++y) {
-        for (int32_t x = 0; x < tw; ++x) {
-          ++hist[pixels[static_cast<size_t>(ty + y) * width + tx + x]];
-        }
-      }
-      if (hist.size() == 1) {
-        out.push_back(kSolid);
-        PutU32(&out, hist.begin()->first);
-        continue;
-      }
-      if (hist.size() <= 8) {
-        // Background = most frequent color; rest as per-pixel-run subrects.
-        Pixel bg = hist.begin()->first;
-        int best = 0;
-        for (const auto& [color, count] : hist) {
-          if (count > best) {
-            best = count;
-            bg = color;
-          }
-        }
-        // Collect horizontal runs of non-background color.
-        struct Run {
-          uint8_t x, y, w;
-          Pixel color;
-        };
-        std::vector<Run> runs;
-        for (int32_t y = 0; y < th; ++y) {
-          int32_t x = 0;
-          while (x < tw) {
-            Pixel c = pixels[static_cast<size_t>(ty + y) * width + tx + x];
-            if (c == bg) {
-              ++x;
-              continue;
-            }
-            int32_t x2 = x + 1;
-            while (x2 < tw &&
-                   pixels[static_cast<size_t>(ty + y) * width + tx + x2] == c) {
-              ++x2;
-            }
-            runs.push_back(Run{static_cast<uint8_t>(x), static_cast<uint8_t>(y),
-                               static_cast<uint8_t>(x2 - x), c});
-            x = x2;
-          }
-        }
-        // Only profitable if smaller than raw.
-        size_t encoded = 1 + 4 + 2 + runs.size() * 7;
-        size_t raw_size = 1 + static_cast<size_t>(tw) * th * 4;
-        if (encoded < raw_size && runs.size() < 65536) {
-          out.push_back(kSubrects);
-          PutU32(&out, bg);
-          out.push_back(static_cast<uint8_t>(runs.size() & 0xFF));
-          out.push_back(static_cast<uint8_t>(runs.size() >> 8));
-          for (const Run& r : runs) {
-            out.push_back(r.x);
-            out.push_back(r.y);
-            out.push_back(r.w);
-            PutU32(&out, r.color);
-          }
-          continue;
-        }
-      }
-      // Raw tile.
-      out.push_back(kRaw);
-      for (int32_t y = 0; y < th; ++y) {
-        const Pixel* row = pixels.data() + static_cast<size_t>(ty + y) * width + tx;
-        for (int32_t x = 0; x < tw; ++x) {
-          PutU32(&out, row[x]);
-        }
-      }
+      const int32_t tw = std::min(kTile, width - tx);
+      const int32_t th = std::min(kTile, height - ty);
+      const size_t at = out.size();
+      out.resize(at + RawTileSize(tw, th));
+      uint8_t* end = EncodeTile(pixels.data() + static_cast<size_t>(ty) * width + tx,
+                                static_cast<size_t>(width), tw, th, out.data() + at);
+      out.resize(static_cast<size_t>(end - out.data()));
     }
   }
   return out;
@@ -174,12 +246,12 @@ bool HextileDecode(std::span<const uint8_t> data, int32_t width, int32_t height,
       } else if (kind == kRaw) {
         for (int32_t y = 0; y < th; ++y) {
           Pixel* row = pixels->data() + static_cast<size_t>(ty + y) * width + tx;
-          for (int32_t x = 0; x < tw; ++x) {
-            uint32_t color;
-            if (!GetU32(data, &i, &color)) {
-              return false;
-            }
-            row[x] = color;
+          // A truncated row keeps the whole pixels that are present.
+          size_t n = std::min(static_cast<size_t>(tw), (data.size() - i) / sizeof(Pixel));
+          std::memcpy(row, data.data() + i, n * sizeof(Pixel));
+          i += n * sizeof(Pixel);
+          if (n < static_cast<size_t>(tw)) {
+            return false;
           }
         }
       } else {

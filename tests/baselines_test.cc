@@ -43,6 +43,16 @@ Surface DrawMixedContent(DrawingApi* api, int32_t w, int32_t h) {
   return reference.screen();
 }
 
+// Random opaque pixels, different for each seed.
+std::vector<Pixel> Noise(size_t n, uint64_t seed) {
+  Prng rng(seed);
+  std::vector<Pixel> px(n);
+  for (Pixel& p : px) {
+    p = static_cast<Pixel>(rng.Next()) | 0xFF000000;
+  }
+  return px;
+}
+
 TEST(XSystemTest, ClientRendersFaithfully) {
   EventLoop loop;
   XSystem sys(&loop, LanDesktopLink(), 160, 120, MakeXOptions());
@@ -324,6 +334,41 @@ TEST(SunRaySystemTest, OffscreenFillComesBackAsPixelsNotFill) {
   EXPECT_EQ(sys.ClientFramebuffer()->At(128, 64), kWhite);
 }
 
+TEST(SunRaySystemTest, RejectedUpdateIsChargedButNotSent) {
+  // As for RDP, for both keyed sends: a two-color bitmap and a pixel
+  // update. The second update at the same rect is dropped while the first
+  // waits; it pays the same analysis and encode cost but adds no bytes.
+  for (bool two_color : {true, false}) {
+    auto content = [two_color](uint64_t seed) {
+      std::vector<Pixel> px = Noise(32 * 32, seed);
+      if (two_color) {
+        for (Pixel& p : px) {
+          p = (p & 1) != 0 ? kBlack : MakePixel(200, 200, static_cast<uint8_t>(seed));
+        }
+      }
+      return px;
+    };
+    auto run = [&content](int frames, Rect second) {
+      EventLoop loop;
+      SunRaySystem sys(&loop, LanDesktopLink(), 160, 120);
+      loop.Run();
+      sys.api()->PutImage(kScreenDrawable, Rect{0, 0, 32, 32}, content(1));
+      if (frames == 2) {
+        sys.api()->PutImage(kScreenDrawable, second, content(2));
+      }
+      loop.Run();
+      return std::pair(sys.app_cpu()->total_busy(), sys.BytesToClient());
+    };
+    auto [one_busy, one_bytes] = run(1, Rect{});
+    auto [dropped_busy, dropped_bytes] = run(2, Rect{0, 0, 32, 32});
+    auto [shipped_busy, shipped_bytes] = run(2, Rect{64, 0, 32, 32});
+    EXPECT_EQ(dropped_bytes, one_bytes) << "two_color=" << two_color;
+    EXPECT_GT(shipped_bytes, one_bytes) << "two_color=" << two_color;
+    EXPECT_EQ(dropped_busy, shipped_busy) << "two_color=" << two_color;
+    EXPECT_GT(dropped_busy, one_busy) << "two_color=" << two_color;
+  }
+}
+
 TEST(SunRaySystemTest, ScreenCopyAccelerated) {
   EventLoop loop;
   SunRaySystem sys(&loop, LanDesktopLink(), 128, 128);
@@ -379,6 +424,54 @@ TEST(RdpSystemTest, BitmapCacheSuppressesResends) {
   EXPECT_LT(second, first / 10);
   // Both placements correct.
   EXPECT_EQ(sys.ClientFramebuffer()->At(5, 5), sys.ClientFramebuffer()->At(65, 5));
+}
+
+TEST(RdpSystemTest, RejectedVideoFrameIsChargedButNotSent) {
+  // Two on-screen frames before the loop runs: at the same rect the second
+  // is dropped while the first waits, at different rects both ship. The
+  // dropped frame pays the same compression cost but adds no bytes.
+  auto run = [](int frames, Rect second) {
+    EventLoop loop;
+    RdpSystem sys(&loop, LanDesktopLink(), 160, 120, MakeRdpOptions(false));
+    loop.Run();
+    sys.api()->PutImage(kScreenDrawable, Rect{0, 0, 32, 32}, Noise(32 * 32, 1));
+    if (frames == 2) {
+      sys.api()->PutImage(kScreenDrawable, second, Noise(32 * 32, 2));
+    }
+    loop.Run();
+    return std::pair(sys.app_cpu()->total_busy(), sys.BytesToClient());
+  };
+  auto [one_busy, one_bytes] = run(1, Rect{});
+  auto [dropped_busy, dropped_bytes] = run(2, Rect{0, 0, 32, 32});
+  auto [shipped_busy, shipped_bytes] = run(2, Rect{64, 0, 32, 32});
+  EXPECT_EQ(dropped_bytes, one_bytes);
+  EXPECT_GT(shipped_bytes, one_bytes);
+  EXPECT_EQ(dropped_busy, shipped_busy);
+  EXPECT_GT(dropped_busy, one_busy);
+}
+
+TEST(RdpSystemTest, RejectedVideoFrameIsNotTreatedAsCached) {
+  // Frame B is dropped behind frame A at the same rect; when B's pixels
+  // come back, the client has never seen them, so they must ship in full
+  // rather than as a bitmap-cache reference.
+  EventLoop loop;
+  RdpSystem sys(&loop, LanDesktopLink(), 160, 120, MakeRdpOptions(false));
+  WindowServer reference(160, 120, nullptr, nullptr);
+  loop.Run();
+  const Rect rect{8, 8, 32, 32};
+  const std::vector<Pixel> a = Noise(32 * 32, 3);
+  const std::vector<Pixel> b = Noise(32 * 32, 4);
+  for (const std::vector<Pixel>* px : {&a, &b}) {
+    sys.api()->PutImage(kScreenDrawable, rect, *px);
+    reference.PutImage(kScreenDrawable, rect, *px);
+  }
+  loop.Run();
+  sys.api()->PutImage(kScreenDrawable, rect, b);
+  reference.PutImage(kScreenDrawable, rect, b);
+  loop.Run();
+  int64_t diff = 0;
+  EXPECT_TRUE(reference.screen().Equals(*sys.ClientFramebuffer(), &diff))
+      << diff << " pixels differ";
 }
 
 TEST(RdpSystemTest, IcaClientResizeCostsClientCpuNotBandwidth) {

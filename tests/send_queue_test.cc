@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace thinc {
 namespace {
 
@@ -79,6 +81,42 @@ TEST(SendQueueTest, DifferentKeysIndependent) {
   EXPECT_TRUE(h.queue.Enqueue(Frame(50, 2), 10 * kMillisecond, 2));
   h.loop.Run();
   EXPECT_EQ(h.received.size(), 100u);
+}
+
+// Asks WouldReject, then Enqueue, about one frame with `key`; the two must
+// agree. Returns {WouldReject's answer, whether Enqueue rejected}.
+std::pair<bool, bool> Verdicts(SendQueue* queue, int64_t key) {
+  bool would_reject = queue->WouldReject(key);
+  bool rejected = !queue->Enqueue(Frame(100, 9), 0, key);
+  return {would_reject, rejected};
+}
+
+TEST(SendQueueTest, WouldRejectMatchesEnqueueForUnstartedSameKey) {
+  Harness h;
+  h.queue.Enqueue(Frame(100, 1), 10 * kMillisecond, /*key=*/5);
+  EXPECT_EQ(Verdicts(&h.queue, 5), std::pair(true, true));
+}
+
+TEST(SendQueueTest, WouldRejectMatchesEnqueueForStartedSameKey) {
+  Harness h;
+  h.queue.Enqueue(Frame(64 << 10, 1), 0, /*key=*/5);
+  h.loop.Step();  // the first pump fills the 4 KB socket buffer
+  ASSERT_GT(h.queue.queued_bytes(), 0u);
+  ASSERT_LT(h.queue.queued_bytes(), 64u << 10);
+  EXPECT_EQ(Verdicts(&h.queue, 5), std::pair(false, false));
+}
+
+TEST(SendQueueTest, WouldRejectMatchesEnqueueForDifferentKey) {
+  Harness h;
+  h.queue.Enqueue(Frame(100, 1), 10 * kMillisecond, /*key=*/5);
+  EXPECT_EQ(Verdicts(&h.queue, 6), std::pair(false, false));
+}
+
+TEST(SendQueueTest, WouldRejectMatchesEnqueueForUnkeyedFrames) {
+  Harness h;
+  h.queue.Enqueue(Frame(100, 1), 10 * kMillisecond);
+  EXPECT_EQ(Verdicts(&h.queue, -1), std::pair(false, false));
+  EXPECT_EQ(Verdicts(&h.queue, -1), std::pair(false, false));
 }
 
 TEST(SendQueueTest, SurvivesSocketBackpressure) {
