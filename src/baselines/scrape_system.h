@@ -16,130 +16,77 @@
 #ifndef THINC_SRC_BASELINES_SCRAPE_SYSTEM_H_
 #define THINC_SRC_BASELINES_SCRAPE_SYSTEM_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 
-#include "src/baselines/send_queue.h"
-#include "src/baselines/system.h"
-#include "src/display/window_server.h"
-#include "src/net/connection.h"
-#include "src/protocol/wire.h"
+#include "src/baselines/wire_baseline.h"
 
 namespace thinc {
 
 struct ScrapeOptions {
   std::string name = "VNC";
-  bool palette8 = false;           // GoToMyPC: 8-bit 3-3-2 color
-  bool heavy_compression = false;  // GoToMyPC: expensive encode
-  bool aggressive = false;         // VNC adaptive profile (hextile + LZSS)
-  bool relay = false;              // GoToMyPC intermediate server
+  bool palette8 = false;    // GoToMyPC: 8-bit 3-3-2 color, expensive encode
+  bool aggressive = false;  // VNC adaptive profile (hextile + LZSS)
+  bool relay = false;       // GoToMyPC intermediate server
   // PDA mode: GoToMyPC resizes on the client; VNC clips the viewport.
   bool resize_on_client = false;
-  SimTime defer = 5 * kMillisecond;  // update aggregation window
-  // Cores on the server host (virtual timing only; wire bytes unchanged).
-  int server_cpu_cores = 1;
 };
 
 ScrapeOptions MakeVncOptions(bool aggressive);
 ScrapeOptions MakeGotomypcOptions();
 
-class ScrapeSystem : public RemoteDisplaySystem {
+class ScrapeSystem : public WireBaseline, private DisplayDriver {
  public:
   ScrapeSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
                int32_t screen_height, ScrapeOptions options);
 
   std::string name() const override { return options_.name; }
-  DrawingApi* api() override { return server_ws_.get(); }
-  CpuAccount* app_cpu() override { return &server_cpu_; }
-  void ClientClick(Point location) override;
-  void SetInputCallback(InputFn fn) override { input_fn_ = std::move(fn); }
   bool SupportsAudio() const override { return false; }  // video-only systems
   bool SupportsViewport() const override { return true; }
   void SetViewport(int32_t width, int32_t height) override;
-  void SetVideoProbeRect(const Rect& rect) override { probe_rect_ = rect; }
-
-  int64_t BytesToClient() const override;
-  SimTime LastDeliveryToClient() const override;
-  SimTime ClientLastProcessedAt() const override { return client_processed_at_; }
-  const std::vector<SimTime>& VideoFrameTimes() const override {
-    return video_frame_times_;
-  }
   const Surface* ClientFramebuffer() const override { return &client_fb_; }
 
-  int64_t updates_sent() const { return updates_sent_; }
-
  private:
-  enum class Msg : uint8_t { kUpdate = 1, kRequest = 2, kInput = 3 };
+  enum Msg : uint8_t { kUpdate = 1, kRequest = 2, kInput = 3 };
 
-  // Driver that discards semantics and accumulates damage.
-  class ScrapeDriver : public DisplayDriver {
-   public:
-    explicit ScrapeDriver(ScrapeSystem* owner) : owner_(owner) {}
-    void OnFillSolid(DrawableId dst, const Region& region, Pixel) override {
-      owner_->Damage(dst, region);
-    }
-    void OnFillTiled(DrawableId dst, const Region& region, const Surface&,
-                     Point) override {
-      owner_->Damage(dst, region);
-    }
-    void OnFillStippled(DrawableId dst, const Region& region, const Bitmap&, Point,
-                        Pixel, Pixel, bool) override {
-      owner_->Damage(dst, region);
-    }
-    void OnCopy(DrawableId, DrawableId dst, const Rect& src_rect,
-                Point dst_origin) override {
-      owner_->Damage(dst, Region(Rect{dst_origin.x, dst_origin.y, src_rect.width,
-                                      src_rect.height}));
-    }
-    void OnPutImage(DrawableId dst, const Rect& rect,
-                    std::span<const Pixel>) override {
-      owner_->Damage(dst, Region(rect));
-    }
-    void OnComposite(DrawableId dst, const Rect& rect,
-                     std::span<const Pixel>) override {
-      owner_->Damage(dst, Region(rect));
-    }
-
-   private:
-    ScrapeSystem* owner_;
-  };
-
-  void Damage(DrawableId dst, const Region& region);
-  void ClientRequestUpdate();
-  void MaybeAnswer();
-  void EncodeAndSend();
-  void OnClientReceive(std::span<const uint8_t> data);
-  void OnServerReceive(std::span<const uint8_t> data);
-  void HandleUpdate(std::span<const uint8_t> payload);
-  Transport* client_leg() const {
-    return options_.relay ? conn_client_.get() : conn_.get();
+  // --- DisplayDriver: discards semantics and accumulates damage ----------------------
+  void OnFillSolid(DrawableId dst, const Region& region, Pixel) override {
+    Damage(dst, region);
+  }
+  void OnFillTiled(DrawableId dst, const Region& region, const Surface&,
+                   Point) override {
+    Damage(dst, region);
+  }
+  void OnFillStippled(DrawableId dst, const Region& region, const Bitmap&, Point,
+                      Pixel, Pixel, bool) override {
+    Damage(dst, region);
+  }
+  void OnCopy(DrawableId, DrawableId dst, const Rect& src_rect,
+              Point dst_origin) override {
+    Damage(dst, Region(Rect{dst_origin.x, dst_origin.y, src_rect.width,
+                            src_rect.height}));
+  }
+  void OnPutImage(DrawableId dst, const Rect& rect, std::span<const Pixel>) override {
+    Damage(dst, Region(rect));
+  }
+  void OnComposite(DrawableId dst, const Rect& rect, std::span<const Pixel>) override {
+    Damage(dst, Region(rect));
   }
 
-  EventLoop* loop_;
+  void Damage(DrawableId dst, const Region& region);
+  void MaybeAnswer();
+  void EncodeAndSend();
+  void OnServerFrame(uint8_t type) override;
+  void OnClientFrame(uint8_t type, std::span<const uint8_t> payload) override;
+  void HandleUpdate(std::span<const uint8_t> payload);
+
   ScrapeOptions options_;
-  CpuAccount server_cpu_;
-  CpuAccount client_cpu_;
-  std::unique_ptr<Transport> conn_;         // server <-> client (or relay)
-  std::unique_ptr<Transport> conn_client_;  // relay <-> client (relay mode)
-  std::unique_ptr<Relay> relay_;
-  std::unique_ptr<SendQueue> out_;
-  std::unique_ptr<ScrapeDriver> driver_;
-  std::unique_ptr<WindowServer> server_ws_;
   Surface client_fb_;
 
   Region dirty_;
   bool request_pending_ = false;
   bool answer_scheduled_ = false;
   std::optional<Rect> viewport_;  // clip (VNC) or client-resize (GoToMyPC)
-
-  FrameParser client_parser_;
-  FrameParser server_parser_;
-  InputFn input_fn_;
-  SimTime client_processed_at_ = 0;
-  std::vector<SimTime> video_frame_times_;
-  std::optional<Rect> probe_rect_;
-  int64_t updates_sent_ = 0;
 };
 
 }  // namespace thinc

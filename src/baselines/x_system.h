@@ -23,11 +23,7 @@
 #include <memory>
 #include <string>
 
-#include "src/baselines/send_queue.h"
-#include "src/baselines/system.h"
-#include "src/display/window_server.h"
-#include "src/net/connection.h"
-#include "src/protocol/wire.h"
+#include "src/baselines/wire_baseline.h"
 
 namespace thinc {
 
@@ -40,16 +36,12 @@ struct XSystemOptions {
   // NX image quantization before encoding: 0 = lossless, 1 = RGB565 (the
   // default profile's mild loss), 2 = RGB444 (the aggressive WAN profile).
   int lossy_level = 0;
-  // Outbound backlog beyond which the video player drops frames.
-  size_t video_drop_threshold = 4 << 20;
-  // Cores on the server host (virtual timing only; wire bytes unchanged).
-  int server_cpu_cores = 1;
 };
 
 XSystemOptions MakeXOptions();
 XSystemOptions MakeNxOptions(bool wan_profile);
 
-class XSystem : public RemoteDisplaySystem, public DrawingApi {
+class XSystem : public WireBaseline, public DrawingApi {
  public:
   XSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
           int32_t screen_height, XSystemOptions options);
@@ -57,21 +49,9 @@ class XSystem : public RemoteDisplaySystem, public DrawingApi {
   // --- RemoteDisplaySystem -----------------------------------------------------
   std::string name() const override { return options_.name; }
   DrawingApi* api() override { return this; }
-  CpuAccount* app_cpu() override { return &server_cpu_; }
-  void ClientClick(Point location) override;
-  void SetInputCallback(InputFn fn) override { input_fn_ = std::move(fn); }
-  void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) override;
-  int64_t BytesToClient() const override {
-    return conn_->BytesDeliveredTo(Transport::kClient);
+  void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) override {
+    SendPcm(kAudio, pcm, timestamp);
   }
-  SimTime LastDeliveryToClient() const override {
-    return conn_->LastDeliveryTo(Transport::kClient);
-  }
-  SimTime ClientLastProcessedAt() const override { return client_processed_at_; }
-  const std::vector<SimTime>& VideoFrameTimes() const override {
-    return video_frame_times_;
-  }
-  int64_t AudioBytesDelivered() const override { return audio_bytes_; }
   const Surface* ClientFramebuffer() const override {
     return &client_ws_->screen();
   }
@@ -100,10 +80,8 @@ class XSystem : public RemoteDisplaySystem, public DrawingApi {
   void VideoFrame(int32_t stream_id, const Yv12Frame& frame) override;
   void VideoStreamDestroy(int32_t stream_id) override;
 
-  int64_t video_frames_dropped() const { return video_frames_dropped_; }
-
  private:
-  enum class XMsg : uint8_t {
+  enum Msg : uint8_t {
     kCreatePixmap = 1,
     kFreePixmap = 2,
     kFillRect = 3,
@@ -121,25 +99,15 @@ class XSystem : public RemoteDisplaySystem, public DrawingApi {
   enum class BodyCodec : uint8_t { kNone = 0, kLzss = 1, kPngLike = 2 };
 
   // Serializes, compresses, gates, and queues one request.
-  void Submit(XMsg type, WireWriter* body, bool image_payload = false,
+  void Submit(Msg type, WireWriter* body, bool image_payload = false,
               const Rect* image_rect = nullptr, std::span<const Pixel> image = {});
   // Xlib buffers consecutive image stores: adjacent PutImage scanline strips
   // to the same drawable coalesce into one request before transmission.
   void FlushPendingImage();
-  void OnClientReceive(std::span<const uint8_t> data);
-  void HandleClientFrame(uint8_t type, std::span<const uint8_t> payload);
-  void OnServerReceive(std::span<const uint8_t> data);
-  void StampClient();
+  void OnClientFrame(uint8_t type, std::span<const uint8_t> payload) override;
 
-  EventLoop* loop_;
-  LinkParams link_;
   XSystemOptions options_;
-  int32_t width_;
-  int32_t height_;
-  CpuAccount server_cpu_;
-  CpuAccount client_cpu_;
-  std::unique_ptr<Transport> conn_;
-  std::unique_ptr<SendQueue> out_;
+  SimTime rtt_;
   std::unique_ptr<WindowServer> client_ws_;  // runs on the client host
 
   int32_t request_count_ = 0;
@@ -151,14 +119,6 @@ class XSystem : public RemoteDisplaySystem, public DrawingApi {
   DrawableId next_pixmap_id_ = 1;  // mirrors the client window server's ids
   int32_t next_stream_id_ = 1;
   std::map<int32_t, Rect> streams_;
-
-  FrameParser client_parser_;
-  FrameParser server_parser_;
-  InputFn input_fn_;
-  SimTime client_processed_at_ = 0;
-  std::vector<SimTime> video_frame_times_;
-  int64_t video_frames_dropped_ = 0;
-  int64_t audio_bytes_ = 0;
 };
 
 }  // namespace thinc
