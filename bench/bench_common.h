@@ -1,5 +1,6 @@
-// Shared helpers for the bench binaries: the THINC_WEB_PAGES knob and the
-// fixed-width table header every bench prints.
+// Shared helpers for the bench binaries: the THINC_WEB_PAGES and
+// THINC_FLEET_MAX_N knobs, the nearest-rank percentile the sweeps report,
+// and the fixed-width table header every bench prints.
 #ifndef THINC_BENCH_BENCH_COMMON_H_
 #define THINC_BENCH_BENCH_COMMON_H_
 
@@ -7,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "src/measure/experiment.h"
 #include "src/workload/web.h"
@@ -26,6 +28,31 @@ inline int32_t WebPageCount() {
   }
   return WebWorkload::kPageCount;
 }
+
+// The sweep sizes no larger than THINC_FLEET_MAX_N when it is set to a
+// positive number; all of them otherwise.
+inline std::vector<int> CapSizes(std::vector<int> sizes) {
+  const char* env = std::getenv("THINC_FLEET_MAX_N");
+  if (env != nullptr && std::atoi(env) > 0) {
+    const int max_n = std::atoi(env);
+    std::erase_if(sizes, [max_n](int n) { return n > max_n; });
+  }
+  return sizes;
+}
+
+// Nearest-rank percentile over integer microseconds (deterministic; no FP
+// accumulation order dependence).
+inline int64_t PercentileUs(std::vector<int64_t> v, double p) {
+  if (v.empty()) {
+    return 0;
+  }
+  std::sort(v.begin(), v.end());
+  const size_t idx =
+      static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
+  return v[idx];
+}
+
+inline double Ms(int64_t us) { return static_cast<double>(us) / kMillisecond; }
 
 inline void PrintHeader(const char* title, const char* columns) {
   std::printf("\n%s\n", title);

@@ -69,16 +69,6 @@ DeviceProfile BenchPhone() {
   return p;
 }
 
-int64_t PercentileUs(std::vector<int64_t> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[idx];
-}
-
 void AppendF(std::string* out, const char* fmt, ...) {
   char buf[512];
   va_list args;
@@ -188,8 +178,8 @@ ClassRun RunDeviceClass(const char* name, const DeviceProfile& profile,
       lat.push_back(s.damaged.ts - s.queued.ts);
     }
   }
-  r.p50_ms = static_cast<double>(PercentileUs(lat, 0.50)) / kMillisecond;
-  r.p95_ms = static_cast<double>(PercentileUs(lat, 0.95)) / kMillisecond;
+  r.p50_ms = bench::Ms(bench::PercentileUs(lat, 0.50));
+  r.p95_ms = bench::Ms(bench::PercentileUs(lat, 0.95));
   telemetry.Configure(TelemetryConfig{});
   telemetry.ResetRuntime();
   return r;
@@ -315,21 +305,10 @@ FleetRun RunPopulation(int n, bool mixed, int pages) {
       pooled.push_back(s.damaged.ts - s.queued.ts);
     }
   }
-  r.pooled_p95_ms =
-      static_cast<double>(PercentileUs(std::move(pooled), 0.95)) / kMillisecond;
+  r.pooled_p95_ms = bench::Ms(bench::PercentileUs(std::move(pooled), 0.95));
   telemetry.Configure(TelemetryConfig{});
   telemetry.ResetRuntime();
   return r;
-}
-
-std::vector<int> SweepSizes() {
-  std::vector<int> sizes = {3, 6, 9, 12, 15};
-  const char* env = std::getenv("THINC_FLEET_MAX_N");
-  if (env != nullptr && std::atoi(env) > 0) {
-    const int max_n = std::atoi(env);
-    std::erase_if(sizes, [max_n](int s) { return s > max_n; });
-  }
-  return sizes;
 }
 
 int Knee(const std::vector<FleetRun>& runs, bool mixed) {
@@ -411,7 +390,7 @@ int main(int argc, char** argv) {
               "nic_bytes", "updates");
   const int pages = 3;
   std::vector<FleetRun> runs;
-  for (int n : SweepSizes()) {
+  for (int n : bench::CapSizes({3, 6, 9, 12, 15})) {
     for (bool mixed : {false, true}) {
       FleetRun r = RunPopulation(n, mixed, pages);
       std::printf("%4d %9s %14.1f %14lld %10lld\n", r.n,

@@ -85,32 +85,9 @@ int PagesPerSession() {
   return 6;
 }
 
-std::vector<int> CapSizes(std::vector<int> sizes) {
-  const char* env = std::getenv("THINC_FLEET_MAX_N");
-  if (env != nullptr && std::atoi(env) > 0) {
-    const int max_n = std::atoi(env);
-    std::erase_if(sizes, [max_n](int n) { return n > max_n; });
-  }
-  return sizes;
-}
-
-std::vector<int> SweepSizes() { return CapSizes({1, 4, 16, 64}); }
+std::vector<int> SweepSizes() { return bench::CapSizes({1, 4, 16, 64}); }
 // Bracketing the expected K=1 (~6) and K=2 (~11) CPU knees.
-std::vector<int> CpuSweepSizes() { return CapSizes({1, 2, 4, 6, 8, 12}); }
-
-// Nearest-rank percentile over integer microseconds (deterministic; no FP
-// accumulation order dependence).
-int64_t PercentileUs(std::vector<int64_t> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[idx];
-}
-
-double Ms(int64_t us) { return static_cast<double>(us) / kMillisecond; }
+std::vector<int> CpuSweepSizes() { return bench::CapSizes({1, 2, 4, 6, 8, 12}); }
 
 // --- Web sweep ---------------------------------------------------------------
 
@@ -234,11 +211,11 @@ WebRun RunWebFleet(int n, bool ladder, const TelemetryConfig& tcfg,
     }
     std::vector<int64_t> p95s;
     for (auto& v : per_session) {
-      p95s.push_back(PercentileUs(std::move(v), 0.95));
+      p95s.push_back(bench::PercentileUs(std::move(v), 0.95));
     }
-    r.pooled_p95_ms = Ms(PercentileUs(std::move(pooled), 0.95));
-    r.median_session_p95_ms = Ms(PercentileUs(p95s, 0.50));
-    r.worst_session_p95_ms = Ms(PercentileUs(p95s, 1.0));
+    r.pooled_p95_ms = bench::Ms(bench::PercentileUs(std::move(pooled), 0.95));
+    r.median_session_p95_ms = bench::Ms(bench::PercentileUs(p95s, 0.50));
+    r.worst_session_p95_ms = bench::Ms(bench::PercentileUs(p95s, 1.0));
   }
   r.max_degrade_level = std::max<int>(
       r.max_degrade_level,
@@ -332,7 +309,7 @@ VideoRun RunVideoFleet(int n, bool ladder) {
       delays.push_back(f.time - f.server_timestamp);
     }
     r.frames_delivered += static_cast<int32_t>(delays.size());
-    p95s.push_back(PercentileUs(std::move(delays), 0.95));
+    p95s.push_back(bench::PercentileUs(std::move(delays), 0.95));
     r.max_degrade_level =
         std::max(r.max_degrade_level, fleet.degradation_level(id));
   }
@@ -340,8 +317,8 @@ VideoRun RunVideoFleet(int n, bool ladder) {
       r.frames_emitted > 0
           ? static_cast<double>(r.frames_delivered) / r.frames_emitted
           : 0.0;
-  r.median_session_p95_ms = Ms(PercentileUs(p95s, 0.50));
-  r.worst_session_p95_ms = Ms(PercentileUs(p95s, 1.0));
+  r.median_session_p95_ms = bench::Ms(bench::PercentileUs(p95s, 0.50));
+  r.worst_session_p95_ms = bench::Ms(bench::PercentileUs(p95s, 1.0));
   r.max_degrade_level = std::max<int>(
       r.max_degrade_level,
       static_cast<int>(

@@ -89,16 +89,6 @@ LinkParams FleetNic() {
   return LinkParams{1'000'000, 20 * kMillisecond, 256 << 10, "fleet-nic"};
 }
 
-int64_t PercentileUs(std::vector<int64_t> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[idx];
-}
-
 struct FleetRun {
   int n = 0;
   int locals = 0;
@@ -187,21 +177,10 @@ FleetRun RunMixedFleet(int n, int locals, int pages_per_session) {
       pooled.push_back(s.damaged.ts - s.queued.ts);
     }
   }
-  r.pooled_p95_ms =
-      static_cast<double>(PercentileUs(std::move(pooled), 0.95)) / kMillisecond;
+  r.pooled_p95_ms = bench::Ms(bench::PercentileUs(std::move(pooled), 0.95));
   telemetry.Configure(TelemetryConfig{});
   telemetry.ResetRuntime();
   return r;
-}
-
-std::vector<int> SweepSizes() {
-  std::vector<int> sizes = {2, 4, 6, 8, 12, 16};
-  const char* env = std::getenv("THINC_FLEET_MAX_N");
-  if (env != nullptr && std::atoi(env) > 0) {
-    const int max_n = std::atoi(env);
-    std::erase_if(sizes, [max_n](int s) { return s > max_n; });
-  }
-  return sizes;
 }
 
 int Knee(const std::vector<FleetRun>& runs, bool mixed) {
@@ -274,7 +253,7 @@ int main(int argc, char** argv) {
               "nic_bytes", "loopback_bytes", "host_cpu_ms");
   const int fleet_pages = 3;
   std::vector<FleetRun> runs;
-  for (int n : SweepSizes()) {
+  for (int n : bench::CapSizes({2, 4, 6, 8, 12, 16})) {
     for (int locals : {0, n / 2}) {
       FleetRun r = RunMixedFleet(n, locals, fleet_pages);
       std::printf("%4d %7d %14.1f %14lld %16lld %12.1f\n", r.n, r.locals,

@@ -5,7 +5,9 @@
 #   1. Configure+build the `default` preset, run the full test suite (the
 #      tier-1 bar: everything must pass), the bench smokes, the perfbench
 #      selftest, bench_codec against its golden JSON
-#      (bench/golden/codec.json), and bench_paper against its golden stdout
+#      (bench/golden/codec.json), the fleet, transport, device and cluster
+#      sweeps against theirs (bench/golden/{fleet,transport,devices,
+#      cluster}.json), and bench_paper against its golden stdout
 #      (bench/golden/paper.txt).
 #   2. Configure+build the `sanitize` preset (ASan+UBSan, build-asan/) and
 #      run the full test suite under the sanitizers.
@@ -84,6 +86,20 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   # its Gilbert-Elliott WAN path actually dropped segments.
   echo "== device smoke: bench_devices --smoke =="
   ./build/bench/bench_devices --smoke
+
+  # Sweep goldens: the full fleet, transport, device and cluster sweeps
+  # report virtual-time quantities only, so each BENCH_*.json must equal
+  # its golden byte for byte. The env knobs are cleared so every sweep runs
+  # at full size.
+  echo "== sweep goldens: fleet/transport/devices/cluster vs bench/golden/ =="
+  (cd build/bench &&
+    for sweep in bench_fleet_capacity bench_transport bench_devices bench_cluster; do
+      env -u THINC_WEB_PAGES -u THINC_FLEET_PAGES -u THINC_FLEET_MAX_N \
+        -u THINC_CLUSTER_PAGES -u THINC_CLUSTER_MAX_HOSTS "./$sweep" >/dev/null
+    done)
+  for golden in fleet transport devices cluster; do
+    cmp "bench/golden/$golden.json" "build/bench/BENCH_$golden.json"
+  done
 
   # Paper golden: bench_paper runs every Section 8 table, figure and
   # ablation once (THINC_CHECKing the paper's shape claims on the way) and
