@@ -10,13 +10,11 @@ ThincSystem::ThincSystem(EventLoop* loop, const ThincSessionOptions& options,
 ThincSystem::ThincSystem(EventLoop* loop, const LinkParams& link,
                          int32_t screen_width, int32_t screen_height,
                          ThincServerOptions server_options,
-                         ThincClientOptions client_options,
                          int server_cpu_cores, TransportKind transport_kind)
     : ThincSystem(loop,
                   {.screen_width = screen_width,
                    .screen_height = screen_height,
                    .server = std::move(server_options),
-                   .client = std::move(client_options),
                    .transport = {.kind = transport_kind, .link = link}},
                   server_cpu_cores) {}
 
@@ -24,14 +22,12 @@ ThincSystem::ThincSystem(EventLoop* loop, const DeviceProfile& profile,
                          const LinkParams& link, int32_t screen_width,
                          int32_t screen_height,
                          ThincServerOptions server_options,
-                         ThincClientOptions client_options,
                          int server_cpu_cores)
     : ThincSystem(loop,
                   ApplyProfile(profile,
                                {.screen_width = screen_width,
                                 .screen_height = screen_height,
                                 .server = std::move(server_options),
-                                .client = std::move(client_options),
                                 .transport = {.link = link}}),
                   server_cpu_cores) {}
 

@@ -22,7 +22,6 @@ class ThincSystem : public RemoteDisplaySystem {
   // (it IS the host) and `link` only matters for later wire Reconnects.
   ThincSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
               int32_t screen_height, ThincServerOptions server_options = {},
-              ThincClientOptions client_options = {},
               int server_cpu_cores = 1,
               TransportKind transport_kind = TransportKind::kWire);
 
@@ -30,7 +29,6 @@ class ThincSystem : public RemoteDisplaySystem {
   ThincSystem(EventLoop* loop, const DeviceProfile& profile,
               const LinkParams& link, int32_t screen_width,
               int32_t screen_height, ThincServerOptions server_options = {},
-              ThincClientOptions client_options = {},
               int server_cpu_cores = 1);
 
   std::string name() const override { return "THINC"; }

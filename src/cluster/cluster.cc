@@ -58,16 +58,14 @@ ClusterController::ClusterController(EventLoop* loop, ClusterOptions options)
 
 double ClusterController::HostLoadFraction(size_t h) const {
   const FleetHost& host = *hosts_[h];
-  const FleetOptions& o = host.options();
-  const double cpu_cap =
-      1e6 * o.cpu_speed * o.cpu_cores * o.cpu_headroom;
-  double frac = cpu_cap > 0 ? host.admitted_cpu_us_per_sec() / cpu_cap : 0.0;
-  const double nic_cap =
-      static_cast<double>(o.link.bandwidth_bps) * o.nic_headroom;
-  if (nic_cap > 0) {
+  const FleetHost::Capacity cap = host.AdmissionCapacity();
+  double frac = cap.cpu_us_per_sec > 0
+                    ? host.admitted_cpu_us_per_sec() / cap.cpu_us_per_sec
+                    : 0.0;
+  if (cap.nic_bps > 0) {
     frac = std::max(
         frac, 8.0 * static_cast<double>(host.admitted_nic_bytes_per_sec()) /
-                  nic_cap);
+                  cap.nic_bps);
   }
   return frac;
 }
@@ -142,16 +140,16 @@ int64_t ClusterController::AddSession(const FleetSessionDemand& demand,
 std::vector<int64_t> ClusterController::PlaceBatch(
     const std::vector<FleetSessionDemand>& demands, int64_t weight) {
   // First-fit-decreasing: order by normalized demand (the worse of the two
-  // resources against one host's headroom-scaled capacity), stable on ties,
-  // then scan hosts in index order for the first fit.
-  const FleetOptions& o = options_.host;
-  const double cpu_cap = 1e6 * o.cpu_speed * o.cpu_cores * o.cpu_headroom;
-  const double nic_cap =
-      static_cast<double>(o.link.bandwidth_bps) * o.nic_headroom;
+  // resources against one host's headroom-scaled capacity; every host is
+  // built from the same template), stable on ties, then scan hosts in index
+  // order for the first fit.
+  const FleetHost::Capacity cap = hosts_.front()->AdmissionCapacity();
   auto score = [&](const FleetSessionDemand& d) {
-    double s = cpu_cap > 0 ? d.cpu_us_per_sec / cpu_cap : 0.0;
-    if (nic_cap > 0) {
-      s = std::max(s, 8.0 * static_cast<double>(d.nic_bytes_per_sec) / nic_cap);
+    double s = cap.cpu_us_per_sec > 0 ? d.cpu_us_per_sec / cap.cpu_us_per_sec
+                                      : 0.0;
+    if (cap.nic_bps > 0) {
+      s = std::max(s,
+                   8.0 * static_cast<double>(d.nic_bytes_per_sec) / cap.nic_bps);
     }
     return s;
   };
@@ -213,17 +211,9 @@ uint64_t ClusterController::ClientFramebufferHash(int64_t gid) {
 }
 
 size_t ClusterController::MismatchedPixels(int64_t gid) {
-  const Surface& shown = client(gid)->framebuffer();
-  const Surface& screen = window_server(gid)->screen();
-  size_t bad = 0;
-  for (int32_t y = 0; y < screen.height(); ++y) {
-    for (int32_t x = 0; x < screen.width(); ++x) {
-      if (shown.At(x, y) != screen.At(x, y)) {
-        ++bad;
-      }
-    }
-  }
-  return bad;
+  int64_t diff = 0;
+  client(gid)->framebuffer().Equals(window_server(gid)->screen(), &diff);
+  return static_cast<size_t>(diff);
 }
 
 size_t ClusterController::FramebufferBytes() const {

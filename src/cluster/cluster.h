@@ -168,7 +168,8 @@ class ClusterController {
   // must equal the no-migration run's hash after quiesce).
   uint64_t ClientFramebufferHash(int64_t gid);
   // Pixels where the client framebuffer differs from the server's reference
-  // screen (0 after quiesce == zero updates lost).
+  // screen (0 after quiesce == zero updates lost). A scaled client (a panel
+  // of another size than the screen) counts every one of its pixels.
   size_t MismatchedPixels(int64_t gid);
 
  private:

@@ -168,10 +168,8 @@ SharedSessionHost::~SharedSessionHost() {
 }
 
 SharedSessionHost::Viewer* SharedSessionHost::AddSession(
-    ThincServerOptions server_options, ThincClientOptions client_options,
-    const TransportSpec& transport) {
+    ThincServerOptions server_options, const TransportSpec& transport) {
   ThincSessionOptions options{.server = std::move(server_options),
-                              .client = std::move(client_options),
                               .transport = transport};
   // All viewers share one encoded-frame cache: a frame encoded for any
   // viewer is reused (bytes and skipped CPU charge) by the rest.

@@ -87,18 +87,16 @@ class SharedSessionHost {
 
   // Adds a viewer over `link`. If content has already been drawn, the new
   // viewer immediately receives a full refresh (the late-join path).
-  Viewer* AddViewer(const LinkParams& link, ThincServerOptions server_options = {},
-                    ThincClientOptions client_options = {}) {
-    return AddSession(std::move(server_options), std::move(client_options),
-                      {.link = link});
+  Viewer* AddViewer(const LinkParams& link,
+                    ThincServerOptions server_options = {}) {
+    return AddSession(std::move(server_options), {.link = link});
   }
   // Adds a co-located viewer: a LoopbackTransport hands encoded frames to
   // the client by reference (no wire, no copies), and both the handoffs and
   // the client's decode work are charged to the shared host CPU — the
   // "second head on the same machine" collaboration setup.
-  Viewer* AddLocalViewer(ThincServerOptions server_options = {},
-                         ThincClientOptions client_options = {}) {
-    return AddSession(std::move(server_options), std::move(client_options),
+  Viewer* AddLocalViewer(ThincServerOptions server_options = {}) {
+    return AddSession(std::move(server_options),
                       {.kind = TransportKind::kLoopback});
   }
   // Disconnects a viewer (the session keeps running for the others). The
@@ -123,7 +121,6 @@ class SharedSessionHost {
   // the shared window server and wires it into the broadcast fan-out and
   // the late-join refresh.
   Viewer* AddSession(ThincServerOptions server_options,
-                     ThincClientOptions client_options,
                      const TransportSpec& transport);
 
   EventLoop* loop_;

@@ -39,13 +39,19 @@ uint64_t FleetHost::DeriveSessionSeed(uint64_t fleet_seed, uint64_t session_id) 
   return z ^ (z >> 31);
 }
 
+FleetHost::Capacity FleetHost::AdmissionCapacity() const {
+  // K cores run K charges concurrently.
+  return {.cpu_us_per_sec = 1e6 * options_.cpu_speed * options_.cpu_cores *
+                            options_.cpu_headroom,
+          .nic_bps = static_cast<double>(options_.link.bandwidth_bps) *
+                     options_.nic_headroom};
+}
+
 bool FleetHost::FitsHeadroom(const FleetSessionDemand& demand,
                              bool local) const {
-  // CPU capacity: one second of host time executes 1e6 * speed * cores
-  // reference microseconds of work (K cores run K charges concurrently).
-  const double cpu_capacity = 1e6 * options_.cpu_speed * options_.cpu_cores *
-                              options_.cpu_headroom;
-  if (admitted_cpu_us_per_sec_ + demand.cpu_us_per_sec > cpu_capacity) {
+  const Capacity capacity = AdmissionCapacity();
+  if (admitted_cpu_us_per_sec_ + demand.cpu_us_per_sec >
+      capacity.cpu_us_per_sec) {
     return false;
   }
   if (local) {
@@ -53,25 +59,22 @@ bool FleetHost::FitsHeadroom(const FleetSessionDemand& demand,
     // CPU demand alone.
     return true;
   }
-  const double nic_capacity =
-      static_cast<double>(options_.link.bandwidth_bps) * options_.nic_headroom;
   const double nic_demand_bps =
       8.0 * static_cast<double>(admitted_nic_bytes_per_sec_ +
                                 demand.nic_bytes_per_sec);
-  return nic_demand_bps <= nic_capacity;
+  return nic_demand_bps <= capacity.nic_bps;
 }
 
 int FleetHost::PredictedCapacity(const FleetSessionDemand& demand) const {
+  const Capacity capacity = AdmissionCapacity();
   int cap = INT32_MAX;
   if (demand.cpu_us_per_sec > 0) {
     cap = std::min<int>(
-        cap, static_cast<int>(1e6 * options_.cpu_speed * options_.cpu_cores *
-                              options_.cpu_headroom / demand.cpu_us_per_sec));
+        cap, static_cast<int>(capacity.cpu_us_per_sec / demand.cpu_us_per_sec));
   }
   if (demand.nic_bytes_per_sec > 0) {
     cap = std::min<int>(
-        cap, static_cast<int>(static_cast<double>(options_.link.bandwidth_bps) *
-                              options_.nic_headroom /
+        cap, static_cast<int>(capacity.nic_bps /
                               (8.0 * static_cast<double>(demand.nic_bytes_per_sec))));
   }
   return cap;
@@ -138,7 +141,6 @@ ThincSessionOptions FleetHost::SessionOptions(const FleetSession& s,
       .screen_width = options_.screen_width,
       .screen_height = options_.screen_height,
       .server = options_.server_options,
-      .client = options_.client_options,
       .transport = {.link = options_.link,
                     .send_buffer_bytes = options_.send_buffer_bytes}};
   o.server.telemetry_host = options_.session_name_prefix + std::to_string(s.id);

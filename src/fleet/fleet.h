@@ -105,7 +105,6 @@ struct FleetOptions {
   // Template for every session's server (telemetry_host is overridden with
   // a per-session name so Chrome traces get one pid per session).
   ThincServerOptions server_options;
-  ThincClientOptions client_options;
   // Chrome-trace host-name prefix for per-session pids (the slot id is
   // appended). A cluster overrides it per host ("cluster-h2-session-") so
   // traces from many hosts stay distinguishable.
@@ -248,6 +247,15 @@ class FleetHost {
   // Predicted capacity in sessions for `demand` (admission math, exposed so
   // benches can report the predicted knee next to the measured one).
   int PredictedCapacity(const FleetSessionDemand& demand) const;
+
+  // The headroom-scaled budget admission fills: reference CPU microseconds
+  // per second of host time (a K-core host at speed s executes 1e6 * s * K
+  // of them) and NIC bits per second.
+  struct Capacity {
+    double cpu_us_per_sec = 0;
+    double nic_bps = 0;
+  };
+  Capacity AdmissionCapacity() const;
 
  private:
   // The THINC session in slot `id`.

@@ -52,7 +52,7 @@ uint64_t RunProfileSession(const DeviceProfile& profile, int cores,
                            int64_t* client_busy_out = nullptr) {
   EventLoop loop;
   ThincSystem sys(&loop, profile, Lan(), 128, 96, ThincServerOptions{},
-                  ThincClientOptions{}, cores);
+                  cores);
   WindowServer* ws = sys.window_server();
   Prng rng(17);
   for (int step = 0; step < 4; ++step) {
@@ -570,7 +570,7 @@ TEST(InputTraceTest, TraceDrivenSessionWireIsDeterministic) {
   auto run = [](int cores) {
     EventLoop loop;
     ThincSystem sys(&loop, TestPhone(64, 48), Lan(), 128, 96,
-                    ThincServerOptions{}, ThincClientOptions{}, cores);
+                    ThincServerOptions{}, cores);
     WindowServer* ws = sys.window_server();
     sys.SetInputCallback([ws](Point p) {
       // Echo every real click as a small draw at the click site.

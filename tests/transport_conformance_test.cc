@@ -427,10 +427,10 @@ uint64_t RunScriptedSession(TransportKind kind, int cores,
   std::optional<ThincSystem> built;
   if (kind == TransportKind::kLossy) {
     built.emplace(&loop, lossy_desktop, LanDesktopLink(), 128, 96,
-                  ThincServerOptions{}, ThincClientOptions{}, cores);
+                  ThincServerOptions{}, cores);
   } else {
     built.emplace(&loop, LanDesktopLink(), 128, 96, ThincServerOptions{},
-                  ThincClientOptions{}, cores, kind);
+                  cores, kind);
   }
   ThincSystem& sys = *built;
   WindowServer* ws = sys.window_server();
@@ -616,7 +616,7 @@ uint64_t RunKindSwitchSession(TransportKind start, TransportKind resume,
                               size_t* mismatched = nullptr) {
   EventLoop loop;
   ThincSystem sys(&loop, LanDesktopLink(), 128, 96, ThincServerOptions{},
-                  ThincClientOptions{}, /*cpu_cores=*/1, start);
+                  /*cpu_cores=*/1, start);
   WindowServer* ws = sys.window_server();
   ws->FillRect(kScreenDrawable, Rect{0, 0, 128, 96}, MakePixel(30, 60, 90));
   ws->DrawText(kScreenDrawable, Point{10, 10}, "phase one", kWhite);
