@@ -28,22 +28,15 @@
 //
 // Emits BENCH_cluster.json (virtual-time quantities only: byte-identical
 // across reruns) and TRACE_cluster.json (Chrome trace of the migration
-// scenario). --smoke runs the migration gate twice and THINC_CHECKs
-// schedule + content determinism, zero lost updates, and the blackout
-// bound; scripts/check.sh runs it on every commit.
-
-#include "bench/bench_common.h"
+// scenario).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
-#include <map>
-#include <tuple>
 #include <vector>
 
+#include "bench/web_fleet.h"
 #include "src/cluster/cluster.h"
-#include "src/measure/experiment.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/logging.h"
 #include "src/workload/web.h"
@@ -52,50 +45,42 @@ using namespace thinc;
 
 namespace {
 
-constexpr double kSloMs = 1000.0;  // pooled p95 update-latency SLO
+constexpr int kPagesPerSession = 4;
+constexpr int kScaleHosts = 32;
 
-int PagesPerSession() {
-  const char* env = std::getenv("THINC_CLUSTER_PAGES");
-  if (env != nullptr && std::atoi(env) > 0) {
-    return std::atoi(env);
-  }
-  return 4;
-}
-
-int ScaleHosts() {
-  const char* env = std::getenv("THINC_CLUSTER_MAX_HOSTS");
-  if (env != nullptr && std::atoi(env) > 0) {
-    return std::atoi(env);
-  }
-  return 32;
-}
-
-ClusterOptions MakeOptions(const ClusterExperimentConfig& c) {
+// H hosts shaped like bench_fleet_capacity's web-sweep host (per-session
+// 512x384 screens, a 1 Mbit/s NIC, a 16x CPU, seed 11), so cluster knees
+// compare directly with per-host ones.
+ClusterOptions WebCluster(int hosts) {
   ClusterOptions co;
-  co.hosts = c.hosts;
-  co.host.screen_width = c.screen_width;
-  co.host.screen_height = c.screen_height;
-  co.host.link = c.link;
-  co.host.cpu_speed = c.host_cpu_speed;
-  co.host.cpu_cores = c.host_cpu_cores;
-  co.host.seed = c.seed;
+  co.hosts = hosts;
+  co.host.screen_width = 512;
+  co.host.screen_height = 384;
+  co.host.link =
+      LinkParams{1'000'000, 20 * kMillisecond, 256 << 10, "cluster-nic"};
+  co.host.cpu_speed = 16.0;
+  co.host.seed = 11;
   // Sockets sized for the shared link (committed bytes are un-sheddable);
   // fast overload sampling, one-burst-deep lag threshold — the fleet
   // capacity bench's provisioning, so per-host knees are comparable.
   co.host.send_buffer_bytes = 32 << 10;
   co.host.control_interval = 50 * kMillisecond;
   co.host.overload_lag = 1 * kSecond;
-  co.interconnect_bps = c.interconnect_bps;
-  co.interconnect_rtt = c.interconnect_rtt;
+  // Migration controller: react within a few bursts, move one session at a
+  // time, and give a moved session a think-time of peace before moving it
+  // again.
+  co.control_interval = 100 * kMillisecond;
+  co.ticks_to_migrate = 3;
+  co.session_cooldown = bench::kThink;
   return co;
 }
 
 // One full-framebuffer refresh at the session link rate: the blackout a
 // non-differential handoff would impose, and the bound migration must beat.
-double FullRefreshMs(const ClusterExperimentConfig& c) {
-  const double fb_bits = static_cast<double>(c.screen_width) *
-                         c.screen_height * sizeof(Pixel) * 8.0;
-  return fb_bits / static_cast<double>(c.link.bandwidth_bps) * 1000.0;
+double FullRefreshMs(const FleetOptions& host) {
+  const double fb_bits = static_cast<double>(host.screen_width) *
+                         host.screen_height * sizeof(Pixel) * 8.0;
+  return fb_bits / static_cast<double>(host.link.bandwidth_bps) * 1000.0;
 }
 
 // --- Shared run harness ------------------------------------------------------
@@ -107,7 +92,6 @@ struct ClusterRun {
   bool migration = false;
   SimTime end_vtime = 0;
   int64_t wire_bytes = 0;
-  std::vector<int64_t> session_bytes;  // per gid
   std::vector<uint64_t> hashes;        // per gid, client framebuffer
   size_t mismatched_pixels = 0;        // summed over gids
   double pooled_p95_ms = 0;
@@ -118,138 +102,63 @@ struct ClusterRun {
   int64_t bounced = 0;
   int64_t state_bytes_total = 0;
   std::vector<int64_t> blackouts_us;
-  // (gid, from, to, start_us) per migration: the determinism transcript.
-  std::vector<std::tuple<int64_t, size_t, size_t, SimTime>> schedule;
   uint64_t fired = 0;  // loop events (wall rate is printed, never emitted)
   double wall_ms = 0;
 };
 
 struct RunSpec {
-  ClusterExperimentConfig config;
+  int hosts = 0;
   int n = 0;               // total sessions
   bool ladder = false;
   bool migration = false;
   bool pin_host0 = false;  // operator skew: admit everything on host 0
   bool clicks = true;      // click-driven (knee) vs scheduled renders
-  int pages = 4;
+  int pages = kPagesPerSession;
   const char* trace_path = nullptr;
 };
 
 ClusterRun RunCluster(const RunSpec& spec, const TelemetryConfig& tcfg) {
   const auto t0 = std::chrono::steady_clock::now();
-  Telemetry& telemetry = Telemetry::Get();
-  telemetry.Configure(tcfg);
-  telemetry.ResetRuntime();
-  MetricsRegistry::Get().ResetAll();
-
-  EventLoop loop;
-  ClusterOptions co = MakeOptions(spec.config);
+  bench::ScopedTelemetry telemetry(tcfg);
+  ClusterOptions co = WebCluster(spec.hosts);
   co.migration_enabled = spec.migration;
   co.host.degradation_enabled = spec.ladder;
-  // Migration controller: react within a few bursts, move one session at a
-  // time, and give a moved session a think-time of peace before moving it
-  // again.
-  co.control_interval = 100 * kMillisecond;
-  co.ticks_to_migrate = 3;
-  co.session_cooldown = spec.config.think_time;
+  const WebWorkload web(co.host.screen_width, co.host.screen_height,
+                        co.host.seed);
+  EventLoop loop;
   ClusterController cluster(&loop, co);
-  WebWorkload web(spec.config.screen_width, spec.config.screen_height,
-                  spec.config.seed);
-
-  const int n = spec.n;
-  for (int i = 0; i < n; ++i) {
-    const int64_t gid = spec.pin_host0 ? cluster.AdmitOnHost(0, {})
-                                       : cluster.AddSession({});
-    THINC_CHECK_MSG(gid == i, "zero-demand session refused admission");
-  }
-
-  // Open-loop page schedule: session gid starts page p at
-  // gid*stagger + p*think, on schedule regardless of delivery progress.
-  const SimTime think = spec.config.think_time;
-  const SimTime stagger = think / n;
-  SimTime last_start = 0;
-  std::vector<int> next_page(static_cast<size_t>(n), 0);  // clicks: must
-                                                          // outlive loop.Run()
-  if (spec.clicks) {
-    for (int i = 0; i < n; ++i) {
-      const int64_t gid = i;
-      // Least-loaded placement round-robins identical hosts, so gid/H is
-      // the session's per-host slot. Page sequences key off the SLOT, not
-      // the gid: every host then renders the identical per-slot page mix —
-      // hosts are true replicas of bench_fleet_capacity's single host and
-      // the per-host knee is comparable across H. (Pinned scenarios use
-      // scheduled renders, never this path.)
-      const int64_t slot = gid / spec.config.hosts;
-      cluster.SetInputCallback(
-          gid, [&cluster, &web, &next_page, gid, slot](Point) {
-            const int32_t page = static_cast<int32_t>(
-                (slot * 7 + next_page[static_cast<size_t>(gid)]) %
-                web.page_count());
-            ++next_page[static_cast<size_t>(gid)];
-            web.RenderPage(cluster.window_server(gid),
-                           page,
-                           cluster.host(cluster.host_of(gid))->host_cpu());
-          });
-    }
-    for (int i = 0; i < n; ++i) {
-      for (int p = 0; p < spec.pages; ++p) {
-        const SimTime t = i * stagger + p * think;
-        last_start = std::max(last_start, t);
-        const int64_t gid = i;
-        loop.ScheduleAt(t, [&cluster, &web, gid, p] {
-          cluster.ClientClick(gid, web.LinkPosition(p % web.page_count()));
-        });
-      }
-    }
-  } else {
-    // Scheduled renders: content-deterministic across migration on/off (a
-    // click that lands during a handoff blackout is legitimately dropped, a
-    // scheduled render is not — see file comment).
-    for (int i = 0; i < n; ++i) {
-      for (int p = 0; p < spec.pages; ++p) {
-        const SimTime t = i * stagger + p * think;
-        last_start = std::max(last_start, t);
-        const int64_t gid = i;
-        loop.ScheduleAt(t, [&cluster, &web, gid, p] {
-          const int32_t page =
-              static_cast<int32_t>((gid * 7 + p) % web.page_count());
-          web.RenderPage(cluster.window_server(gid), page,
-                         cluster.host(cluster.host_of(gid))->host_cpu());
-        });
-      }
-    }
-  }
-  cluster.StartController(last_start + 5 * kSecond);
-  loop.Run();
+  // Click-driven runs key page walks off the per-host slot, so every host
+  // is a replica of bench_fleet_capacity's single host and the per-host
+  // knee compares across H. Pinned runs render on schedule instead (see
+  // file comment).
+  bench::RunOpenLoopWeb(
+      &loop, &cluster, web,
+      {.sessions = spec.n,
+       .pages = spec.pages,
+       .page_group = spec.clicks ? spec.hosts : 1,
+       .scheduled_renders = !spec.clicks},
+      [&cluster, &spec](int i) {
+        const int64_t gid = spec.pin_host0 ? cluster.AdmitOnHost(0, {})
+                                           : cluster.AddSession({});
+        THINC_CHECK_MSG(gid == i, "zero-demand session refused admission");
+      });
   cluster.FinalizeBlackouts();
 
   ClusterRun r;
-  r.hosts = spec.config.hosts;
-  r.n = n;
+  r.hosts = spec.hosts;
+  r.n = spec.n;
   r.ladder = spec.ladder;
   r.migration = spec.migration;
   r.end_vtime = loop.now();
   r.fired = loop.fired_count();
-  std::map<int, int64_t> pid_to_session;
-  for (int64_t gid = 0; gid < n; ++gid) {
-    const int64_t bytes = cluster.BytesDeliveredToClient(gid);
-    r.session_bytes.push_back(bytes);
-    r.wire_bytes += bytes;
+  for (int64_t gid = 0; gid < spec.n; ++gid) {
+    r.wire_bytes += cluster.BytesDeliveredToClient(gid);
     r.hashes.push_back(cluster.ClientFramebufferHash(gid));
     r.mismatched_pixels += cluster.MismatchedPixels(gid);
-    pid_to_session[cluster.server(gid)->telemetry_pid()] = gid;
   }
-  if (tcfg.spans) {
-    std::vector<int64_t> pooled;
-    for (const UpdateSpan& s : telemetry.spans()) {
-      if (!s.completed()) {
-        continue;
-      }
-      ++r.spans_completed;
-      pooled.push_back(s.damaged.ts - s.queued.ts);
-    }
-    r.pooled_p95_ms = bench::Ms(bench::PercentileUs(std::move(pooled), 0.95));
-  }
+  const bench::UpdateLatencies latencies = bench::CollectUpdateLatencies();
+  r.spans_completed = latencies.completed();
+  r.pooled_p95_ms = latencies.PercentileMs(0.95);
   for (const MigrationRecord& rec : cluster.migrations()) {
     if (rec.resume == 0) {
       continue;  // still in flight at quiesce (drained loop: never)
@@ -259,16 +168,12 @@ ClusterRun RunCluster(const RunSpec& spec, const TelemetryConfig& tcfg) {
     r.bounced += rec.bounced ? 1 : 0;
     r.state_bytes_total += static_cast<int64_t>(rec.state_bytes);
     r.blackouts_us.push_back(rec.blackout_end - rec.start);
-    r.schedule.emplace_back(rec.gid, rec.from_host, rec.to_host, rec.start);
   }
-  if (spec.trace_path != nullptr && tcfg.chrome_trace) {
-    if (telemetry.WriteChromeTrace(spec.trace_path)) {
-      std::printf("wrote %s (one pid per session; load in Perfetto)\n",
-                  spec.trace_path);
-    }
+  if (spec.trace_path != nullptr &&
+      Telemetry::Get().WriteChromeTrace(spec.trace_path)) {
+    std::printf("wrote %s (one pid per session; load in Perfetto)\n",
+                spec.trace_path);
   }
-  telemetry.Configure(TelemetryConfig{});
-  telemetry.ResetRuntime();
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -283,25 +188,20 @@ struct KneeResult {
   std::vector<ClusterRun> runs;
 };
 
-KneeResult SweepKnee(int hosts, int pages, const TelemetryConfig& spans_only) {
+KneeResult SweepKnee(int hosts) {
   KneeResult kr;
   kr.hosts = hosts;
   for (int k : {2, 4, 5, 6, 7, 8}) {
-    RunSpec spec;
-    spec.config = WebClusterConfig(hosts);
-    spec.n = k * hosts;
-    spec.pages = pages;
-    ClusterRun r = RunCluster(spec, spans_only);
+    ClusterRun r = RunCluster({.hosts = hosts, .n = k * hosts}, {.spans = true});
     std::printf("%6d %4d %4d %14.1f %10lld %12lld %10.0f\n", hosts, k, r.n,
                 r.pooled_p95_ms, static_cast<long long>(r.spans_completed),
                 static_cast<long long>(r.wire_bytes),
                 static_cast<double>(r.fired) / (r.wall_ms / 1000.0));
     std::fflush(stdout);
-    if (r.pooled_p95_ms <= kSloMs) {
-      kr.knee_per_host = std::max(kr.knee_per_host, k);
-    }
     kr.runs.push_back(std::move(r));
   }
+  kr.knee_per_host = bench::Knee(
+      kr.runs, [hosts](const ClusterRun& r) { return r.n / hosts; });
   return kr;
 }
 
@@ -315,29 +215,24 @@ struct MigrationScenario {
   double full_refresh_ms = 0;
 };
 
-MigrationScenario RunMigrationScenario(int n, int pages,
-                                       const TelemetryConfig& tcfg,
-                                       const char* trace_path = nullptr) {
+// Ten sessions pinned on host 0 of 2, run with migration (its Chrome trace
+// goes to TRACE_cluster.json) and without.
+MigrationScenario RunMigrationScenario() {
   MigrationScenario m;
-  RunSpec spec;
-  spec.config = WebClusterConfig(/*hosts=*/2);
-  spec.n = n;
-  spec.pages = pages;
-  spec.pin_host0 = true;
-  spec.clicks = false;  // content determinism: see file comment
-  spec.migration = true;
-  spec.trace_path = trace_path;
-  m.with = RunCluster(spec, tcfg);
+  const TelemetryConfig traced{.spans = true, .chrome_trace = true};
+  RunSpec spec{.hosts = 2,
+               .n = 10,
+               .migration = true,
+               .pin_host0 = true,
+               .clicks = false,  // content determinism: see file comment
+               .trace_path = "TRACE_cluster.json"};
+  m.with = RunCluster(spec, traced);
   spec.migration = false;
   spec.trace_path = nullptr;
-  m.without = RunCluster(spec, tcfg);
+  m.without = RunCluster(spec, traced);
   m.blackout_p50_ms = bench::Ms(bench::PercentileUs(m.with.blackouts_us, 0.50));
   m.blackout_p95_ms = bench::Ms(bench::PercentileUs(m.with.blackouts_us, 0.95));
-  m.full_refresh_ms = FullRefreshMs(spec.config);
-  return m;
-}
-
-void CheckMigrationInvariants(const MigrationScenario& m) {
+  m.full_refresh_ms = FullRefreshMs(WebCluster(spec.hosts).host);
   THINC_CHECK_MSG(m.with.migrations >= 1,
                   "skewed cluster never migrated a session");
   THINC_CHECK_MSG(m.without.migrations == 0,
@@ -350,37 +245,7 @@ void CheckMigrationInvariants(const MigrationScenario& m) {
                   "migrated run delivered different final content");
   THINC_CHECK_MSG(m.blackout_p95_ms < m.full_refresh_ms,
                   "migration blackout worse than a full-refresh handoff");
-}
-
-// --- Smoke gate (scripts/check.sh) -------------------------------------------
-
-int RunSmoke() {
-  bench::PrintHeader(
-      "Cluster smoke: migration determinism + zero lost updates",
-      "(10 sessions pinned on host 0 of 2; run twice, transcripts must match)");
-  TelemetryConfig off;
-  TelemetryConfig on;
-  on.spans = true;
-  MigrationScenario a = RunMigrationScenario(10, /*pages=*/2, off);
-  MigrationScenario b = RunMigrationScenario(10, /*pages=*/2, on);
-  CheckMigrationInvariants(a);
-  CheckMigrationInvariants(b);
-  THINC_CHECK_MSG(a.with.schedule == b.with.schedule,
-                  "migration schedule changed across reruns");
-  THINC_CHECK_MSG(a.with.session_bytes == b.with.session_bytes,
-                  "delivered bytes changed across reruns (telemetry on/off)");
-  THINC_CHECK_MSG(a.with.hashes == b.with.hashes,
-                  "delivered content changed across reruns");
-  THINC_CHECK_MSG(a.with.end_vtime == b.with.end_vtime,
-                  "telemetry changed cluster virtual time");
-  std::printf(
-      "%lld migrations (%lld differential), blackout p95 %.1f ms "
-      "(full-refresh bound %.0f ms), 0 lost updates, deterministic across "
-      "reruns with telemetry off and on\n",
-      static_cast<long long>(a.with.migrations),
-      static_cast<long long>(a.with.differential), a.blackout_p95_ms,
-      a.full_refresh_ms);
-  return 0;
+  return m;
 }
 
 void WriteRunJson(std::FILE* f, const ClusterRun& r) {
@@ -399,33 +264,26 @@ void WriteRunJson(std::FILE* f, const ClusterRun& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
-    return RunSmoke();
-  }
-  const int pages = PagesPerSession();
-  TelemetryConfig spans_only;
-  spans_only.spans = true;
-
-  const ClusterExperimentConfig base = WebClusterConfig(1);
+int main() {
+  const ClusterOptions base = WebCluster(1);
   bench::PrintHeader(
       "Cluster tier: knee scaling, hundreds-scale SLO, migration blackout",
       "(least-loaded placement; per-session screens, fleet web workload)");
   std::printf("per-session screen %dx%d, %d pages/session, think %.1f s, "
               "host NIC %lld Mbps, interconnect %lld Mbps\n",
-              base.screen_width, base.screen_height, pages,
-              static_cast<double>(base.think_time) / kSecond,
-              static_cast<long long>(base.link.bandwidth_bps / 1'000'000),
+              base.host.screen_width, base.host.screen_height,
+              kPagesPerSession, static_cast<double>(bench::kThink) / kSecond,
+              static_cast<long long>(base.host.link.bandwidth_bps / 1'000'000),
               static_cast<long long>(base.interconnect_bps / 1'000'000));
 
   // -- Knee vs hosts: H independent hosts must hold H x the per-host knee.
   std::printf("\n-- Knee vs hosts (ladder off, migration off; SLO pooled "
-              "p95 <= %.0f ms) --\n", kSloMs);
+              "p95 <= %.0f ms) --\n", bench::kKneeMs);
   std::printf("%6s %4s %4s %14s %10s %12s %10s\n", "hosts", "k", "N",
               "pooled_p95_ms", "updates", "wire_bytes", "events/s");
   std::vector<KneeResult> knees;
   for (int hosts : {1, 2, 4}) {
-    knees.push_back(SweepKnee(hosts, pages, spans_only));
+    knees.push_back(SweepKnee(hosts));
   }
   const int knee1 = knees[0].knee_per_host;
   std::printf("\nper-host knee: ");
@@ -442,26 +300,24 @@ int main(int argc, char** argv) {
   }
 
   // -- Hundreds-scale: the cluster at the knee (SLO held) and past it.
-  const int scale_hosts = ScaleHosts();
   std::printf("\n-- Hundreds-scale (H=%d, ladder on, migration on) --\n",
-              scale_hosts);
+              kScaleHosts);
   std::printf("%6s %4s %4s %14s %10s %12s %10s %6s\n", "hosts", "k", "N",
               "pooled_p95_ms", "updates", "migrations", "events/s", "SLO");
   std::vector<ClusterRun> scale_runs;
   for (int k : {knee1, knee1 + 2}) {
-    RunSpec spec;
-    spec.config = WebClusterConfig(scale_hosts);
-    spec.n = k * scale_hosts;
-    spec.pages = std::min(pages, 2);
-    spec.ladder = true;
-    spec.migration = true;
-    ClusterRun r = RunCluster(spec, spans_only);
-    std::printf("%6d %4d %4d %14.1f %10lld %12lld %10.0f %6s\n", scale_hosts,
+    ClusterRun r = RunCluster({.hosts = kScaleHosts,
+                               .n = k * kScaleHosts,
+                               .ladder = true,
+                               .migration = true,
+                               .pages = 2},
+                              {.spans = true});
+    std::printf("%6d %4d %4d %14.1f %10lld %12lld %10.0f %6s\n", kScaleHosts,
                 k, r.n, r.pooled_p95_ms,
                 static_cast<long long>(r.spans_completed),
                 static_cast<long long>(r.migrations),
                 static_cast<double>(r.fired) / (r.wall_ms / 1000.0),
-                r.pooled_p95_ms <= kSloMs ? "yes" : "no");
+                r.pooled_p95_ms <= bench::kKneeMs ? "yes" : "no");
     std::fflush(stdout);
     scale_runs.push_back(std::move(r));
   }
@@ -469,11 +325,7 @@ int main(int argc, char** argv) {
   // -- Migration blackout: skewed 2-host cluster, everything on host 0.
   std::printf("\n-- Migration blackout (10 sessions pinned on host 0 of 2) "
               "--\n");
-  TelemetryConfig with_trace = spans_only;
-  with_trace.chrome_trace = true;
-  MigrationScenario m =
-      RunMigrationScenario(10, pages, with_trace, "TRACE_cluster.json");
-  CheckMigrationInvariants(m);
+  const MigrationScenario m = RunMigrationScenario();
   std::printf(
       "migrations: %lld (%lld differential, %lld bounced), state shipped "
       "%lld bytes total\n",
@@ -497,10 +349,10 @@ int main(int argc, char** argv) {
         "{\n  \"config\": {\"screen\": [%d, %d], \"pages_per_session\": %d, "
         "\"think_ms\": %lld, \"host_nic_bps\": %lld, \"interconnect_bps\": "
         "%lld, \"slo_ms\": %.0f},\n",
-        base.screen_width, base.screen_height, pages,
-        static_cast<long long>(base.think_time / kMillisecond),
-        static_cast<long long>(base.link.bandwidth_bps),
-        static_cast<long long>(base.interconnect_bps), kSloMs);
+        base.host.screen_width, base.host.screen_height, kPagesPerSession,
+        static_cast<long long>(bench::kThink / kMillisecond),
+        static_cast<long long>(base.host.link.bandwidth_bps),
+        static_cast<long long>(base.interconnect_bps), bench::kKneeMs);
     std::fprintf(f, "  \"knee\": {\n    \"per_host\": {");
     for (size_t i = 0; i < knees.size(); ++i) {
       std::fprintf(f, "%s\"h%d\": %d", i > 0 ? ", " : "", knees[i].hosts,

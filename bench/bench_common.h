@@ -1,6 +1,6 @@
-// Shared helpers for the bench binaries: the THINC_WEB_PAGES and
-// THINC_FLEET_MAX_N knobs, the nearest-rank percentile the sweeps report,
-// and the fixed-width table header every bench prints.
+// Shared helpers for the bench binaries: the THINC_WEB_PAGES knob, the
+// nearest-rank percentile the sweeps report, and the fixed-width table
+// header every bench prints.
 #ifndef THINC_BENCH_BENCH_COMMON_H_
 #define THINC_BENCH_BENCH_COMMON_H_
 
@@ -27,17 +27,6 @@ inline int32_t WebPageCount() {
     }
   }
   return WebWorkload::kPageCount;
-}
-
-// The sweep sizes no larger than THINC_FLEET_MAX_N when it is set to a
-// positive number; all of them otherwise.
-inline std::vector<int> CapSizes(std::vector<int> sizes) {
-  const char* env = std::getenv("THINC_FLEET_MAX_N");
-  if (env != nullptr && std::atoi(env) > 0) {
-    const int max_n = std::atoi(env);
-    std::erase_if(sizes, [max_n](int n) { return n > max_n; });
-  }
-  return sizes;
 }
 
 // Nearest-rank percentile over integer microseconds (deterministic; no FP

@@ -18,20 +18,11 @@
 //      NIC carries proportionally less and the capacity knee of the mixed
 //      population sits at or beyond the uniform-desktop knee.
 //
-// Emits BENCH_devices.json. `--smoke` runs the scripts/check.sh gate: the
-// device-class table twice at short duration, THINC_CHECKing that the two
-// passes produce byte-identical JSON (the determinism contract for the
-// device tier) and that the phone arm negotiated its panel and actually
-// saw loss.
-#include "bench/bench_common.h"
-
-#include <algorithm>
-#include <cstdarg>
-#include <cstring>
+// Emits BENCH_devices.json.
 #include <deque>
-#include <string>
 #include <vector>
 
+#include "bench/web_fleet.h"
 #include "src/device/device.h"
 #include "src/fleet/fleet.h"
 #include "src/net/lossy.h"
@@ -47,7 +38,6 @@ namespace {
 constexpr int32_t kScreenW = 512;
 constexpr int32_t kScreenH = 384;
 constexpr uint64_t kSeed = 13;
-constexpr double kKneeMs = 1000.0;
 
 LinkParams AccessLan() {
   return LinkParams{100'000'000, 20 * kMillisecond, 1 << 20, "device-lan"};
@@ -67,15 +57,6 @@ DeviceProfile BenchPhone() {
   p.screen_height = kScreenH / 2;
   p.link.reset();
   return p;
-}
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  *out += buf;
 }
 
 // --- Device-class table ------------------------------------------------------
@@ -98,13 +79,8 @@ struct ClassRun {
 // full web page — the per-class interactive mix.
 ClassRun RunDeviceClass(const char* name, const DeviceProfile& profile,
                         SimTime duration) {
-  Telemetry& telemetry = Telemetry::Get();
-  TelemetryConfig tcfg;
-  tcfg.spans = true;
-  telemetry.Configure(tcfg);
-  telemetry.ResetRuntime();
-  MetricsRegistry::Get().ResetAll();
-
+  bench::ScopedTelemetry telemetry({.spans = true});
+  const WebWorkload web(kScreenW, kScreenH, kSeed);
   EventLoop loop;
   FleetOptions fo;
   fo.screen_width = kScreenW;
@@ -117,7 +93,6 @@ ClassRun RunDeviceClass(const char* name, const DeviceProfile& profile,
   THINC_CHECK(fleet.AddSession({}, /*weight=*/1, /*local=*/false, profile) ==
               FleetHost::Admission::kAdmitted);
 
-  WebWorkload web(kScreenW, kScreenH, kSeed);
   std::deque<InputEventKind> kinds;
   int page = 0;
   int band = 0;
@@ -172,51 +147,15 @@ ClassRun RunDeviceClass(const char* name, const DeviceProfile& profile,
   r.decode_busy = fleet.session(0)->session->device_cpu()->total_busy();
   r.view_w = fleet.client(0)->framebuffer().width();
   r.view_h = fleet.client(0)->framebuffer().height();
-  std::vector<int64_t> lat;
-  for (const UpdateSpan& s : telemetry.spans()) {
-    if (s.completed()) {
-      lat.push_back(s.damaged.ts - s.queued.ts);
-    }
-  }
-  r.p50_ms = bench::Ms(bench::PercentileUs(lat, 0.50));
-  r.p95_ms = bench::Ms(bench::PercentileUs(lat, 0.95));
-  telemetry.Configure(TelemetryConfig{});
-  telemetry.ResetRuntime();
+  const bench::UpdateLatencies latencies = bench::CollectUpdateLatencies();
+  r.p50_ms = latencies.PercentileMs(0.50);
+  r.p95_ms = latencies.PercentileMs(0.95);
   return r;
-}
-
-std::vector<ClassRun> RunDeviceTable(SimTime duration) {
-  return {
-      RunDeviceClass("desktop", DesktopProfile(), duration),
-      RunDeviceClass("phone", SmartphoneProfile(), duration),
-      RunDeviceClass("terminal", PiTerminalProfile(), duration),
-  };
-}
-
-std::string DeviceTableJson(const std::vector<ClassRun>& table,
-                            SimTime duration) {
-  std::string j;
-  AppendF(&j, "  \"trace_duration_us\": %lld,\n  \"device_classes\": [\n",
-          static_cast<long long>(duration));
-  for (size_t i = 0; i < table.size(); ++i) {
-    const ClassRun& r = table[i];
-    AppendF(&j,
-            "    {\"class\": \"%s\", \"events\": %zu, \"p50_ms\": %.3f, "
-            "\"p95_ms\": %.3f, \"bytes\": %lld, \"segments_lost\": %lld, "
-            "\"decode_busy_us\": %lld, \"viewport\": \"%dx%d\"}%s\n",
-            r.name, r.events, r.p50_ms, r.p95_ms,
-            static_cast<long long>(r.bytes),
-            static_cast<long long>(r.segments_lost),
-            static_cast<long long>(r.decode_busy), r.view_w, r.view_h,
-            i + 1 < table.size() ? "," : "");
-  }
-  AppendF(&j, "  ]");
-  return j;
 }
 
 // --- Mixed-vs-uniform capacity sweep -----------------------------------------
 
-constexpr SimTime kThink = 1500 * kMillisecond;
+constexpr int kPagesPerSession = 3;
 
 DeviceProfile SweepProfile(int i, bool mixed) {
   if (!mixed) {
@@ -240,16 +179,11 @@ struct FleetRun {
   int64_t spans_completed = 0;
 };
 
-// Open-loop web fleet: every session clicks through `pages` pages at the
+// Open-loop web fleet: every session clicks through the same pages at the
 // same staggered cadence; only the population composition changes.
-FleetRun RunPopulation(int n, bool mixed, int pages) {
-  Telemetry& telemetry = Telemetry::Get();
-  TelemetryConfig tcfg;
-  tcfg.spans = true;
-  telemetry.Configure(tcfg);
-  telemetry.ResetRuntime();
-  MetricsRegistry::Get().ResetAll();
-
+FleetRun RunPopulation(int n, bool mixed) {
+  bench::ScopedTelemetry telemetry({.spans = true});
+  const WebWorkload web(kScreenW, kScreenH, kSeed);
   EventLoop loop;
   FleetOptions fo;
   fo.screen_width = kScreenW;
@@ -260,36 +194,13 @@ FleetRun RunPopulation(int n, bool mixed, int pages) {
   fo.seed = kSeed;
   fo.degradation_enabled = false;  // raw capacity, not degraded capacity
   FleetHost fleet(&loop, fo);
-  for (int i = 0; i < n; ++i) {
-    THINC_CHECK(fleet.AddSession({}, /*weight=*/1, /*local=*/false,
-                                 SweepProfile(i, mixed)) ==
-                FleetHost::Admission::kAdmitted);
-  }
-  WebWorkload web(kScreenW, kScreenH, kSeed);
-  std::vector<int> next_page(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    const size_t id = static_cast<size_t>(i);
-    fleet.SetInputCallback(id, [&fleet, &web, &next_page, id](Point) {
-      const int32_t page = static_cast<int32_t>(
-          (static_cast<int>(id) * 7 + next_page[id]) % web.page_count());
-      ++next_page[id];
-      web.RenderPage(fleet.window_server(id), page, fleet.host_cpu());
-    });
-  }
-  const SimTime stagger = kThink / n;
-  SimTime last_click = 0;
-  for (int i = 0; i < n; ++i) {
-    for (int p = 0; p < pages; ++p) {
-      const SimTime t = i * stagger + p * kThink;
-      last_click = std::max(last_click, t);
-      const size_t id = static_cast<size_t>(i);
-      loop.ScheduleAt(t, [&fleet, &web, id, p] {
-        fleet.ClientClick(id, web.LinkPosition(p % web.page_count()));
+  bench::RunOpenLoopWeb(
+      &loop, &fleet, web, {.sessions = n, .pages = kPagesPerSession},
+      [&fleet, mixed](int i) {
+        THINC_CHECK(fleet.AddSession({}, /*weight=*/1, /*local=*/false,
+                                     SweepProfile(i, mixed)) ==
+                    FleetHost::Admission::kAdmitted);
       });
-    }
-  }
-  fleet.StartController(last_click + 5 * kSecond);
-  loop.Run();
 
   FleetRun r;
   r.n = n;
@@ -298,73 +209,26 @@ FleetRun RunPopulation(int n, bool mixed, int pages) {
     r.nic_bytes += fleet.transport(static_cast<size_t>(i))
                        ->BytesDeliveredTo(Transport::kClient);
   }
-  std::vector<int64_t> pooled;
-  for (const UpdateSpan& s : telemetry.spans()) {
-    if (s.completed()) {
-      ++r.spans_completed;
-      pooled.push_back(s.damaged.ts - s.queued.ts);
-    }
-  }
-  r.pooled_p95_ms = bench::Ms(bench::PercentileUs(std::move(pooled), 0.95));
-  telemetry.Configure(TelemetryConfig{});
-  telemetry.ResetRuntime();
+  const bench::UpdateLatencies latencies = bench::CollectUpdateLatencies();
+  r.spans_completed = latencies.completed();
+  r.pooled_p95_ms = latencies.PercentileMs(0.95);
   return r;
-}
-
-int Knee(const std::vector<FleetRun>& runs, bool mixed) {
-  int best = 0;
-  for (const FleetRun& r : runs) {
-    if (r.mixed == mixed && r.pooled_p95_ms <= kKneeMs) {
-      best = std::max(best, r.n);
-    }
-  }
-  return best;
-}
-
-// --- Smoke gate (scripts/check.sh) -------------------------------------------
-
-int RunSmoke() {
-  bench::PrintHeader("Device smoke: matrix determinism gate",
-                     "(device-class table twice; JSON must be byte-identical)");
-  // Long enough for the phone's Gilbert-Elliott chain to visit the bad state
-  // and force a retransmission (the loss gate below); still well under a
-  // second of wall clock.
-  constexpr SimTime kSmokeDuration = 25 * kSecond;
-  const std::vector<ClassRun> first = RunDeviceTable(kSmokeDuration);
-  const std::vector<ClassRun> second = RunDeviceTable(kSmokeDuration);
-  const std::string a = DeviceTableJson(first, kSmokeDuration);
-  const std::string b = DeviceTableJson(second, kSmokeDuration);
-  THINC_CHECK_MSG(a == b,
-                  "device-class table changed between identical reruns; the "
-                  "device tier's determinism contract is broken");
-  const ClassRun& phone = first[1];
-  THINC_CHECK_MSG(phone.view_w == SmartphoneProfile().screen_width &&
-                      phone.view_h == SmartphoneProfile().screen_height,
-                  "phone session did not negotiate its panel viewport");
-  THINC_CHECK_MSG(phone.segments_lost > 0,
-                  "phone session saw no loss — the lossy WAN path is not "
-                  "engaged");
-  std::printf("device table identical across reruns (%zu classes); phone at "
-              "%dx%d with %lld retransmissions — matrix gate holds\n",
-              first.size(), phone.view_w, phone.view_h,
-              static_cast<long long>(phone.segments_lost));
-  return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
-    return RunSmoke();
-  }
-
+int main() {
   bench::PrintHeader(
       "Heterogeneous device matrix: per-class quality and mixed capacity",
       "(trace-driven class table; then uniform-vs-mixed population sweep)");
 
   // -- Device-class table --
   constexpr SimTime kTableDuration = 40 * kSecond;
-  const std::vector<ClassRun> table = RunDeviceTable(kTableDuration);
+  const std::vector<ClassRun> table = {
+      RunDeviceClass("desktop", DesktopProfile(), kTableDuration),
+      RunDeviceClass("phone", SmartphoneProfile(), kTableDuration),
+      RunDeviceClass("terminal", PiTerminalProfile(), kTableDuration),
+  };
   std::printf("\n-- One session per class, %lld s of its own input trace --\n",
               static_cast<long long>(kTableDuration / kSecond));
   std::printf("%-10s %8s %10s %10s %12s %10s %12s %10s\n", "class", "events",
@@ -388,11 +252,10 @@ int main(int argc, char** argv) {
               static_cast<double>(FleetNic().bandwidth_bps) / 1'000'000);
   std::printf("%4s %9s %14s %14s %10s\n", "N", "mix", "pooled_p95_ms",
               "nic_bytes", "updates");
-  const int pages = 3;
   std::vector<FleetRun> runs;
-  for (int n : bench::CapSizes({3, 6, 9, 12, 15})) {
+  for (int n : {3, 6, 9, 12, 15}) {
     for (bool mixed : {false, true}) {
-      FleetRun r = RunPopulation(n, mixed, pages);
+      FleetRun r = RunPopulation(n, mixed);
       std::printf("%4d %9s %14.1f %14lld %10lld\n", r.n,
                   r.mixed ? "mixed" : "uniform", r.pooled_p95_ms,
                   static_cast<long long>(r.nic_bytes),
@@ -401,38 +264,53 @@ int main(int argc, char** argv) {
       runs.push_back(r);
     }
   }
-  const int knee_uniform = Knee(runs, /*mixed=*/false);
-  const int knee_mixed = Knee(runs, /*mixed=*/true);
+  const int knee_uniform = bench::Knee(
+      runs, [](const FleetRun& r) { return r.mixed ? 0 : r.n; });
+  const int knee_mixed = bench::Knee(
+      runs, [](const FleetRun& r) { return r.mixed ? r.n : 0; });
   std::printf("capacity knee (largest N with pooled p95 <= %.0f ms): "
               "uniform-desktop -> %d sessions, mixed -> %d sessions\n",
-              kKneeMs, knee_uniform, knee_mixed);
+              bench::kKneeMs, knee_uniform, knee_mixed);
   THINC_CHECK_MSG(knee_mixed >= knee_uniform,
                   "mixed population must hold the knee at or beyond the "
                   "uniform-desktop knee: phone viewports ship less");
 
-  std::string json = "{\n";
-  json += DeviceTableJson(table, kTableDuration);
-  json += ",\n";
-  AppendF(&json,
-          "  \"fleet\": {\n    \"nic_bps\": %lld, \"pages_per_session\": %d, "
-          "\"knee_uniform_desktop\": %d, \"knee_mixed\": %d,\n"
-          "    \"sweep\": [\n",
-          static_cast<long long>(FleetNic().bandwidth_bps), pages,
-          knee_uniform, knee_mixed);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const FleetRun& r = runs[i];
-    AppendF(&json,
-            "      {\"n\": %d, \"mixed\": %s, \"p95_ms\": %.3f, "
-            "\"nic_bytes\": %lld, \"updates_completed\": %lld}%s\n",
-            r.n, r.mixed ? "true" : "false", r.pooled_p95_ms,
-            static_cast<long long>(r.nic_bytes),
-            static_cast<long long>(r.spans_completed),
-            i + 1 < runs.size() ? "," : "");
-  }
-  json += "    ]\n  }\n}\n";
   std::FILE* f = std::fopen("BENCH_devices.json", "w");
   if (f != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), f);
+    std::fprintf(f,
+                 "{\n  \"trace_duration_us\": %lld,\n"
+                 "  \"device_classes\": [\n",
+                 static_cast<long long>(kTableDuration));
+    for (size_t i = 0; i < table.size(); ++i) {
+      const ClassRun& r = table[i];
+      std::fprintf(
+          f,
+          "    {\"class\": \"%s\", \"events\": %zu, \"p50_ms\": %.3f, "
+          "\"p95_ms\": %.3f, \"bytes\": %lld, \"segments_lost\": %lld, "
+          "\"decode_busy_us\": %lld, \"viewport\": \"%dx%d\"}%s\n",
+          r.name, r.events, r.p50_ms, r.p95_ms,
+          static_cast<long long>(r.bytes),
+          static_cast<long long>(r.segments_lost),
+          static_cast<long long>(r.decode_busy), r.view_w, r.view_h,
+          i + 1 < table.size() ? "," : "");
+    }
+    std::fprintf(f,
+                 "  ],\n  \"fleet\": {\n    \"nic_bps\": %lld, "
+                 "\"pages_per_session\": %d, \"knee_uniform_desktop\": %d, "
+                 "\"knee_mixed\": %d,\n    \"sweep\": [\n",
+                 static_cast<long long>(FleetNic().bandwidth_bps),
+                 kPagesPerSession, knee_uniform, knee_mixed);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      const FleetRun& r = runs[i];
+      std::fprintf(f,
+                   "      {\"n\": %d, \"mixed\": %s, \"p95_ms\": %.3f, "
+                   "\"nic_bytes\": %lld, \"updates_completed\": %lld}%s\n",
+                   r.n, r.mixed ? "true" : "false", r.pooled_p95_ms,
+                   static_cast<long long>(r.nic_bytes),
+                   static_cast<long long>(r.spans_completed),
+                   i + 1 < runs.size() ? "," : "");
+    }
+    std::fprintf(f, "    ]\n  }\n}\n");
     std::fclose(f);
     std::printf("\nwrote BENCH_devices.json\n");
   }

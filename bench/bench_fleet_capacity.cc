@@ -22,18 +22,12 @@
 // structural check that fleet telemetry attribution works. Emits
 // BENCH_fleet.json (byte-identical across runs: everything is virtual-time
 // deterministic) and TRACE_fleet.json (N=4 web run, Perfetto-loadable).
-//
-// `--smoke` runs the scripts/check.sh gate instead: an 8-session fleet run
-// twice, telemetry fully off vs fully on, THINC_CHECKing that wire bytes
-// and virtual time are identical (telemetry must never perturb results).
-#include "bench/bench_common.h"
-
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "bench/web_fleet.h"
 #include "src/fleet/fleet.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/logging.h"
@@ -49,7 +43,7 @@ namespace {
 constexpr int32_t kScreenW = 512;
 constexpr int32_t kScreenH = 384;
 constexpr uint64_t kFleetSeed = 11;
-constexpr SimTime kThink = 1500 * kMillisecond;  // open-loop click period
+constexpr int kPagesPerSession = 6;
 
 // Host NICs sized so the knee lands inside the sweep: web pages at this
 // geometry offer ~0.13 Mbps/session, video ~1.2 Mbps/session.
@@ -72,22 +66,10 @@ constexpr double kCpuBoundSpeed = 0.25;
 LinkParams CpuBoundNic() {
   return LinkParams{100'000'000, 20 * kMillisecond, 256 << 10, "fleet-nic"};
 }
-// A run counts as below the knee while pooled p95 stays under this; with
-// open-loop clicks, oversubscribed runs queue without bound and blow past
-// it by seconds.
-constexpr double kCpuKneeMs = 1000.0;
 
-int PagesPerSession() {
-  const char* env = std::getenv("THINC_FLEET_PAGES");
-  if (env != nullptr && std::atoi(env) > 0) {
-    return std::atoi(env);
-  }
-  return 6;
-}
-
-std::vector<int> SweepSizes() { return bench::CapSizes({1, 4, 16, 64}); }
+constexpr int kSweepSizes[] = {1, 4, 16, 64};
 // Bracketing the expected K=1 (~6) and K=2 (~11) CPU knees.
-std::vector<int> CpuSweepSizes() { return bench::CapSizes({1, 2, 4, 6, 8, 12}); }
+constexpr int kCpuSweepSizes[] = {1, 2, 4, 6, 8, 12};
 
 // --- Web sweep ---------------------------------------------------------------
 
@@ -98,12 +80,10 @@ struct WebRun {
   SimTime end_vtime = 0;
   SimTime host_cpu_busy = 0;       // host-local microseconds
   int64_t wire_bytes = 0;          // all sessions, server->client
-  std::vector<int64_t> session_bytes;
   // Lifecycle-span latency (queued -> client framebuffer damage).
   double pooled_p95_ms = 0;
   double median_session_p95_ms = 0;
   double worst_session_p95_ms = 0;
-  int64_t spans_total = 0;
   int64_t spans_completed = 0;
   int64_t spans_evicted = 0;  // overwritten in the backlog before sending
   int max_degrade_level = 0;
@@ -111,14 +91,10 @@ struct WebRun {
 };
 
 WebRun RunWebFleet(int n, bool ladder, const TelemetryConfig& tcfg,
-                   int pages_per_session, const char* trace_path = nullptr,
-                   int cpu_cores = 1, double cpu_speed = kWebCpuSpeed,
-                   LinkParams nic = WebNic()) {
-  Telemetry& telemetry = Telemetry::Get();
-  telemetry.Configure(tcfg);
-  telemetry.ResetRuntime();
-  MetricsRegistry::Get().ResetAll();
-
+                   const char* trace_path = nullptr, int cpu_cores = 1,
+                   double cpu_speed = kWebCpuSpeed, LinkParams nic = WebNic()) {
+  bench::ScopedTelemetry telemetry(tcfg);
+  const WebWorkload web(kScreenW, kScreenH, kFleetSeed);
   EventLoop loop;
   FleetOptions fo;
   fo.screen_width = kScreenW;
@@ -141,37 +117,11 @@ WebRun RunWebFleet(int n, bool ladder, const TelemetryConfig& tcfg,
   // reachable; the admission math is reported separately via
   // PredictedCapacity on the measured N=1 demand.
   FleetHost fleet(&loop, fo);
-  WebWorkload web(kScreenW, kScreenH, kFleetSeed);
-  std::vector<int> next_page(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    THINC_CHECK(fleet.AddSession({}) == FleetHost::Admission::kAdmitted);
-  }
-  for (int i = 0; i < n; ++i) {
-    const size_t id = static_cast<size_t>(i);
-    fleet.SetInputCallback(id, [&fleet, &web, &next_page, id](Point) {
-      // Each session walks its own offset into the page suite.
-      const int32_t page = static_cast<int32_t>(
-          (static_cast<int>(id) * 7 + next_page[id]) % web.page_count());
-      ++next_page[id];
-      web.RenderPage(fleet.window_server(id), page, fleet.host_cpu());
-    });
-  }
-  // Open-loop arrivals: session i clicks at i*stagger + p*think, on schedule
-  // regardless of whether the previous page has finished delivering.
-  const SimTime stagger = kThink / n;
-  SimTime last_click = 0;
-  for (int i = 0; i < n; ++i) {
-    for (int p = 0; p < pages_per_session; ++p) {
-      const SimTime t = i * stagger + p * kThink;
-      last_click = std::max(last_click, t);
-      const size_t id = static_cast<size_t>(i);
-      loop.ScheduleAt(t, [&fleet, &web, id, p] {
-        fleet.ClientClick(id, web.LinkPosition(p % web.page_count()));
+  bench::RunOpenLoopWeb(
+      &loop, &fleet, web, {.sessions = n, .pages = kPagesPerSession},
+      [&fleet](int) {
+        THINC_CHECK(fleet.AddSession({}) == FleetHost::Admission::kAdmitted);
       });
-    }
-  }
-  fleet.StartController(last_click + 5 * kSecond);
-  loop.Run();
 
   WebRun r;
   r.n = n;
@@ -184,53 +134,39 @@ WebRun RunWebFleet(int n, bool ladder, const TelemetryConfig& tcfg,
     const size_t id = static_cast<size_t>(i);
     const int64_t bytes =
         fleet.connection(id)->BytesDeliveredTo(Connection::kClient);
-    r.session_bytes.push_back(bytes);
     r.wire_bytes += bytes;
     pid_to_session[fleet.server(id)->telemetry_pid()] = id;
     r.max_degrade_level =
         std::max(r.max_degrade_level, fleet.degradation_level(id));
   }
-  if (tcfg.spans) {
-    std::vector<std::vector<int64_t>> per_session(static_cast<size_t>(n));
-    std::vector<int64_t> pooled;
-    for (const UpdateSpan& s : telemetry.spans()) {
-      ++r.spans_total;
-      if (s.evicted) {
-        ++r.spans_evicted;
-      }
-      if (!s.completed()) {
-        continue;
-      }
-      ++r.spans_completed;
-      const int64_t latency = s.damaged.ts - s.queued.ts;
-      pooled.push_back(latency);
-      auto it = pid_to_session.find(s.server_pid);
-      if (it != pid_to_session.end()) {
-        per_session[it->second].push_back(latency);
-      }
+  const bench::UpdateLatencies latencies = bench::CollectUpdateLatencies();
+  r.spans_completed = latencies.completed();
+  r.spans_evicted = latencies.evicted;
+  r.pooled_p95_ms = latencies.PercentileMs(0.95);
+  std::vector<std::vector<int64_t>> per_session(static_cast<size_t>(n));
+  for (size_t k = 0; k < latencies.us.size(); ++k) {
+    auto it = pid_to_session.find(latencies.server_pids[k]);
+    if (it != pid_to_session.end()) {
+      per_session[it->second].push_back(latencies.us[k]);
     }
-    std::vector<int64_t> p95s;
-    for (auto& v : per_session) {
-      p95s.push_back(bench::PercentileUs(std::move(v), 0.95));
-    }
-    r.pooled_p95_ms = bench::Ms(bench::PercentileUs(std::move(pooled), 0.95));
-    r.median_session_p95_ms = bench::Ms(bench::PercentileUs(p95s, 0.50));
-    r.worst_session_p95_ms = bench::Ms(bench::PercentileUs(p95s, 1.0));
   }
+  std::vector<int64_t> p95s;
+  for (auto& v : per_session) {
+    p95s.push_back(bench::PercentileUs(std::move(v), 0.95));
+  }
+  r.median_session_p95_ms = bench::Ms(bench::PercentileUs(p95s, 0.50));
+  r.worst_session_p95_ms = bench::Ms(bench::PercentileUs(p95s, 1.0));
   r.max_degrade_level = std::max<int>(
       r.max_degrade_level,
       static_cast<int>(
           MetricsRegistry::Get().GetGauge("fleet.degrade_level")->max()));
   r.degradations =
       MetricsRegistry::Get().GetCounter("fleet.degradations")->value();
-  if (trace_path != nullptr && tcfg.chrome_trace) {
-    if (telemetry.WriteChromeTrace(trace_path)) {
-      std::printf("wrote %s (one pid per session; load in Perfetto)\n",
-                  trace_path);
-    }
+  if (trace_path != nullptr &&
+      Telemetry::Get().WriteChromeTrace(trace_path)) {
+    std::printf("wrote %s (one pid per session; load in Perfetto)\n",
+                trace_path);
   }
-  telemetry.Configure(TelemetryConfig{});
-  telemetry.ResetRuntime();
   return r;
 }
 
@@ -251,11 +187,7 @@ struct VideoRun {
 };
 
 VideoRun RunVideoFleet(int n, bool ladder) {
-  Telemetry& telemetry = Telemetry::Get();
-  telemetry.Configure(TelemetryConfig{});
-  telemetry.ResetRuntime();
-  MetricsRegistry::Get().ResetAll();
-
+  bench::ScopedTelemetry telemetry(TelemetryConfig{});
   EventLoop loop;
   FleetOptions fo;
   fo.screen_width = kScreenW;
@@ -375,45 +307,16 @@ void WriteVideoRunJson(std::FILE* f, const VideoRun& r) {
                static_cast<long long>(r.wire_bytes), r.max_degrade_level);
 }
 
-// --- Smoke gate (scripts/check.sh) -------------------------------------------
-
-int RunSmoke() {
-  bench::PrintHeader("Fleet smoke: telemetry on/off result identity",
-                     "(8 sessions, 2 pages each; wire bytes and vtime must match)");
-  TelemetryConfig off;
-  TelemetryConfig on;
-  on.spans = true;
-  on.chrome_trace = true;
-  on.flight_recorder = true;
-  WebRun a = RunWebFleet(8, /*ladder=*/true, off, /*pages_per_session=*/2);
-  WebRun b = RunWebFleet(8, /*ladder=*/true, on, /*pages_per_session=*/2);
-  THINC_CHECK_MSG(a.end_vtime == b.end_vtime,
-                  "telemetry changed fleet virtual time");
-  THINC_CHECK_MSG(a.session_bytes == b.session_bytes,
-                  "telemetry changed fleet wire bytes");
-  std::printf("8-session fleet: %lld wire bytes, vtime %.3f s — identical "
-              "with telemetry off and fully on\n",
-              static_cast<long long>(a.wire_bytes),
-              static_cast<double>(a.end_vtime) / kSecond);
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
-    return RunSmoke();
-  }
-  const int pages = PagesPerSession();
-  const std::vector<int> sizes = SweepSizes();
-
+int main() {
   bench::PrintHeader(
       "Fleet capacity: sessions per host, shared CPU + shared NIC",
       "(open-loop web clicks + video clips; degradation ladder off vs on)");
   std::printf("per-session screen %dx%d, %d pages/session, think %.1f s, "
               "web NIC %lld Mbps, video NIC %lld Mbps\n",
-              kScreenW, kScreenH, pages,
-              static_cast<double>(kThink) / kSecond,
+              kScreenW, kScreenH, kPagesPerSession,
+              static_cast<double>(bench::kThink) / kSecond,
               static_cast<long long>(WebNic().bandwidth_bps / 1'000'000),
               static_cast<long long>(VideoNic().bandwidth_bps / 1'000'000));
 
@@ -421,7 +324,7 @@ int main(int argc, char** argv) {
   // prediction, reported next to the measured knee.
   TelemetryConfig spans_only;
   spans_only.spans = true;
-  WebRun ref = RunWebFleet(1, /*ladder=*/true, spans_only, pages);
+  WebRun ref = RunWebFleet(1, /*ladder=*/true, spans_only);
   FleetSessionDemand demand;
   const double ref_secs = static_cast<double>(ref.end_vtime) / kSecond;
   demand.cpu_us_per_sec = ref_secs > 0
@@ -451,12 +354,12 @@ int main(int argc, char** argv) {
               "pooled_p95_ms", "median_sess_p95", "worst_sess_p95", "updates",
               "evicted", "level");
   std::vector<WebRun> web_runs;
-  for (int n : sizes) {
+  for (int n : kSweepSizes) {
     for (bool ladder : {false, true}) {
       const bool trace = ladder && n == 4;
       TelemetryConfig cfg = spans_only;
       cfg.chrome_trace = trace;
-      WebRun r = RunWebFleet(n, ladder, cfg, pages,
+      WebRun r = RunWebFleet(n, ladder, cfg,
                              trace ? "TRACE_fleet.json" : nullptr);
       PrintWebRow(r);
       web_runs.push_back(std::move(r));
@@ -475,8 +378,8 @@ int main(int argc, char** argv) {
               "median_sess_p95", "worst_sess_p95", "updates");
   std::vector<WebRun> cpu_runs;
   for (int cores : {1, 2}) {
-    for (int n : CpuSweepSizes()) {
-      WebRun r = RunWebFleet(n, /*ladder=*/false, spans_only, pages,
+    for (int n : kCpuSweepSizes) {
+      WebRun r = RunWebFleet(n, /*ladder=*/false, spans_only,
                              /*trace_path=*/nullptr, cores, kCpuBoundSpeed,
                              CpuBoundNic());
       std::printf("%4d %5d %14.1f %16.1f %16.1f %10lld\n", r.n, r.cores,
@@ -487,27 +390,20 @@ int main(int argc, char** argv) {
       cpu_runs.push_back(std::move(r));
     }
   }
-  auto cpu_knee = [&cpu_runs](int cores) {
-    int best = 0;
-    for (const WebRun& r : cpu_runs) {
-      if (r.cores == cores && r.pooled_p95_ms <= kCpuKneeMs) {
-        best = std::max(best, r.n);
-      }
-    }
-    return best;
-  };
-  const int knee_k1 = cpu_knee(1);
-  const int knee_k2 = cpu_knee(2);
+  const int knee_k1 = bench::Knee(
+      cpu_runs, [](const WebRun& r) { return r.cores == 1 ? r.n : 0; });
+  const int knee_k2 = bench::Knee(
+      cpu_runs, [](const WebRun& r) { return r.cores == 2 ? r.n : 0; });
   std::printf("CPU-bound knee (largest N with p95 <= %.0f ms): "
               "K=1 -> %d sessions, K=2 -> %d sessions\n",
-              kCpuKneeMs, knee_k1, knee_k2);
+              bench::kKneeMs, knee_k1, knee_k2);
 
   std::printf("\n-- Video (frame delay: server timestamp -> client arrival) --\n");
   std::printf("%4s %7s %16s %16s %11s %10s %10s %6s\n", "N", "ladder",
               "median_sess_p95", "worst_sess_p95", "delivered", "frames",
               "decimated", "level");
   std::vector<VideoRun> video_runs;
-  for (int n : sizes) {
+  for (int n : kSweepSizes) {
     for (bool ladder : {false, true}) {
       VideoRun r = RunVideoFleet(n, ladder);
       PrintVideoRow(r);
@@ -520,8 +416,8 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"config\": {\"screen\": [%d, %d], "
                  "\"pages_per_session\": %d, \"think_ms\": %lld, "
                  "\"web_nic_bps\": %lld, \"video_nic_bps\": %lld},\n",
-                 kScreenW, kScreenH, pages,
-                 static_cast<long long>(kThink / kMillisecond),
+                 kScreenW, kScreenH, kPagesPerSession,
+                 static_cast<long long>(bench::kThink / kMillisecond),
                  static_cast<long long>(WebNic().bandwidth_bps),
                  static_cast<long long>(VideoNic().bandwidth_bps));
     std::fprintf(f,

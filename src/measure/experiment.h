@@ -67,30 +67,6 @@ ExperimentConfig LocalLoopbackConfig();
 std::unique_ptr<RemoteDisplaySystem> MakeSystem(SystemKind kind, EventLoop* loop,
                                                 const ExperimentConfig& config);
 
-// --- Cluster experiments -------------------------------------------------------
-
-// Shared parameters of the cluster-tier experiments (bench_cluster and the
-// cluster tests build ClusterOptions from this; kept to plain types so
-// thinc_measure does not depend on thinc_fleet/thinc_cluster). One host of
-// this shape has a web-session knee around 6 at 1 Mbit/s — the same shape
-// bench_fleet_capacity sweeps — so cluster knees are directly comparable to
-// per-host ones.
-struct ClusterExperimentConfig {
-  int hosts = 2;
-  int32_t screen_width = 512;
-  int32_t screen_height = 384;
-  LinkParams link;          // per-host NIC == per-session link shape
-  double host_cpu_speed = 16.0;
-  int host_cpu_cores = 1;
-  uint64_t seed = 11;
-  SimTime think_time = 1500 * kMillisecond;
-  int64_t interconnect_bps = 1'000'000'000;
-  SimTime interconnect_rtt = 1 * kMillisecond;
-};
-
-// The defaults above with the fleet web-sweep 1 Mbit/s link.
-ClusterExperimentConfig WebClusterConfig(int hosts);
-
 // --- Web benchmark -----------------------------------------------------------
 
 struct PageResult {

@@ -9,6 +9,7 @@
 #include "src/baselines/thinc_system.h"
 #include "src/core/scheduler.h"
 #include "src/net/nic.h"
+#include "src/telemetry/telemetry.h"
 #include "src/workload/web.h"
 
 namespace thinc {
@@ -424,9 +425,21 @@ TEST(SchedulerAgingTest, TransparentCommandsAreNeverPromoted) {
 
 // --- Degradation ladder on the server ----------------------------------------
 
-TEST(FleetDegradationTest, ControllerEngagesLadderUnderOverload) {
-  // A deliberately starved uplink: sessions cannot drain their sockets, so
-  // the controller must walk them up the ladder.
+struct OverloadRun {
+  int max_level = 0;  // highest ladder level at the end of the controller
+  // Per session, what reached the client.
+  std::vector<uint64_t> delivered_hashes;
+  std::vector<int64_t> delivered_bytes;
+  SimTime end_vtime = 0;
+  size_t spans = 0;  // lifecycle spans recorded
+};
+
+// Four sessions rendering into a deliberately starved uplink, with
+// `telemetry` configured for the run: the sessions cannot drain their
+// sockets, so the controller must walk them up the ladder.
+OverloadRun RunOverloadedFleet(const TelemetryConfig& telemetry) {
+  Telemetry::Get().Configure(telemetry);
+  Telemetry::Get().ResetRuntime();
   LinkParams slow{200'000, 50 * kMillisecond, 64 << 10, "slow"};
   EventLoop loop;
   FleetOptions fo = SmallFleet(slow, /*seed=*/3);
@@ -436,7 +449,7 @@ TEST(FleetDegradationTest, ControllerEngagesLadderUnderOverload) {
   FleetHost fleet(&loop, fo);
   WebWorkload web(320, 240, /*seed=*/3);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(fleet.AddSession({}), FleetHost::Admission::kAdmitted);
+    EXPECT_EQ(fleet.AddSession({}), FleetHost::Admission::kAdmitted);
   }
   fleet.StartController(4 * kSecond);
   for (int page = 0; page < 4; ++page) {
@@ -446,12 +459,36 @@ TEST(FleetDegradationTest, ControllerEngagesLadderUnderOverload) {
     loop.RunUntil((page + 1) * 200 * kMillisecond);
   }
   loop.RunUntil(4 * kSecond);
-  int max_level = 0;
+  OverloadRun r;
   for (size_t i = 0; i < fleet.session_count(); ++i) {
-    max_level = std::max(max_level, fleet.degradation_level(i));
+    r.max_level = std::max(r.max_level, fleet.degradation_level(i));
   }
-  EXPECT_GE(max_level, 1) << "overloaded fleet never degraded";
   loop.Run();  // drain; controller has stopped rescheduling
+  for (size_t i = 0; i < fleet.session_count(); ++i) {
+    r.delivered_hashes.push_back(
+        fleet.transport(i)->DeliveredHashTo(Transport::kClient));
+    r.delivered_bytes.push_back(
+        fleet.transport(i)->BytesDeliveredTo(Transport::kClient));
+  }
+  r.end_vtime = loop.now();
+  r.spans = Telemetry::Get().spans().size();
+  Telemetry::Get().Configure(TelemetryConfig{});
+  Telemetry::Get().ResetRuntime();
+  return r;
+}
+
+TEST(FleetDegradationTest, ControllerEngagesLadderUnderOverload) {
+  const OverloadRun off = RunOverloadedFleet(TelemetryConfig{});
+  EXPECT_GE(off.max_level, 1) << "overloaded fleet never degraded";
+  // Telemetry fully on must not perturb the shared CPU and NIC arbitration
+  // or the ladder: every session receives the same bytes by the same time.
+  const OverloadRun on = RunOverloadedFleet(
+      {.spans = true, .chrome_trace = true, .flight_recorder = true});
+  EXPECT_GT(on.spans, 0u) << "telemetry recorded nothing";
+  EXPECT_EQ(on.max_level, off.max_level);
+  EXPECT_EQ(on.delivered_hashes, off.delivered_hashes);
+  EXPECT_EQ(on.delivered_bytes, off.delivered_bytes);
+  EXPECT_EQ(on.end_vtime, off.end_vtime);
 }
 
 TEST(FleetDegradationTest, SubsampleFidelityShrinksEncodeInPlace) {
