@@ -119,7 +119,7 @@ struct RunSpec {
 
 ClusterRun RunCluster(const RunSpec& spec, const TelemetryConfig& tcfg) {
   const auto t0 = std::chrono::steady_clock::now();
-  bench::ScopedTelemetry telemetry(tcfg);
+  TelemetryScope telemetry(tcfg);
   ClusterOptions co = WebCluster(spec.hosts);
   co.migration_enabled = spec.migration;
   co.host.degradation_enabled = spec.ladder;

@@ -79,7 +79,7 @@ struct ClassRun {
 // full web page — the per-class interactive mix.
 ClassRun RunDeviceClass(const char* name, const DeviceProfile& profile,
                         SimTime duration) {
-  bench::ScopedTelemetry telemetry({.spans = true});
+  TelemetryScope telemetry({.spans = true});
   const WebWorkload web(kScreenW, kScreenH, kSeed);
   EventLoop loop;
   FleetOptions fo;
@@ -182,7 +182,7 @@ struct FleetRun {
 // Open-loop web fleet: every session clicks through the same pages at the
 // same staggered cadence; only the population composition changes.
 FleetRun RunPopulation(int n, bool mixed) {
-  bench::ScopedTelemetry telemetry({.spans = true});
+  TelemetryScope telemetry({.spans = true});
   const WebWorkload web(kScreenW, kScreenH, kSeed);
   EventLoop loop;
   FleetOptions fo;

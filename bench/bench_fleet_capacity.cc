@@ -93,7 +93,8 @@ struct WebRun {
 WebRun RunWebFleet(int n, bool ladder, const TelemetryConfig& tcfg,
                    const char* trace_path = nullptr, int cpu_cores = 1,
                    double cpu_speed = kWebCpuSpeed, LinkParams nic = WebNic()) {
-  bench::ScopedTelemetry telemetry(tcfg);
+  TelemetryScope telemetry(tcfg);
+  MetricsRegistry::Get().ResetAll();  // the fleet.* metrics read below
   const WebWorkload web(kScreenW, kScreenH, kFleetSeed);
   EventLoop loop;
   FleetOptions fo;
@@ -187,7 +188,7 @@ struct VideoRun {
 };
 
 VideoRun RunVideoFleet(int n, bool ladder) {
-  bench::ScopedTelemetry telemetry(TelemetryConfig{});
+  MetricsRegistry::Get().ResetAll();  // the fleet.* metrics read below
   EventLoop loop;
   FleetOptions fo;
   fo.screen_width = kScreenW;

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <optional>
 
 #include "bench/bench_common.h"
 #include "src/telemetry/telemetry.h"
@@ -300,33 +301,29 @@ void StampOneUpdate(Telemetry& telemetry, SimTime t) {
 }
 
 void BM_TelemetryStampsOn(benchmark::State& state) {
-  Telemetry& telemetry = Telemetry::Get();
-  TelemetryConfig cfg;
-  cfg.spans = true;
-  telemetry.Configure(cfg);
-  telemetry.ResetRuntime();
+  std::optional<TelemetryScope> scope(std::in_place,
+                                      TelemetryConfig{.spans = true});
+  Telemetry* telemetry = &Telemetry::Get();
   SimTime t = 0;
   size_t since_reset = 0;
   for (auto _ : state) {
-    StampOneUpdate(telemetry, t);
+    StampOneUpdate(*telemetry, t);
     t += 10;
     if (++since_reset == 4096) {  // bound the span vector
       state.PauseTiming();
-      telemetry.ResetRuntime();
+      scope.reset();
+      scope.emplace(TelemetryConfig{.spans = true});
+      telemetry = &Telemetry::Get();
       since_reset = 0;
       state.ResumeTiming();
     }
   }
-  telemetry.Configure(TelemetryConfig{});
-  telemetry.ResetRuntime();
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TelemetryStampsOn);
 
 void BM_TelemetryStampsOff(benchmark::State& state) {
   Telemetry& telemetry = Telemetry::Get();
-  telemetry.Configure(TelemetryConfig{});
-  telemetry.ResetRuntime();
   SimTime t = 0;
   for (auto _ : state) {
     StampOneUpdate(telemetry, t);
@@ -422,15 +419,13 @@ struct TelemetryRun {
 };
 
 TelemetryRun RunTelemetryWorkload(bool telemetry_on) {
-  Telemetry& telemetry = Telemetry::Get();
   TelemetryConfig cfg;
   if (telemetry_on) {
     cfg.spans = true;
     cfg.chrome_trace = true;
     cfg.flight_recorder = true;
   }
-  telemetry.Configure(cfg);
-  telemetry.ResetRuntime();
+  TelemetryScope scope(cfg);
   MetricsRegistry::Get().ResetAll();
   BufferStats::Get().Reset();
   auto t0 = std::chrono::steady_clock::now();
@@ -447,10 +442,8 @@ TelemetryRun RunTelemetryWorkload(bool telemetry_on) {
   r.end_time = loop.now();
   r.commands = sys.client()->commands_applied();
   r.wall_secs = std::chrono::duration<double>(t1 - t0).count();
-  r.spans = telemetry.spans().size();
-  r.trace_events = telemetry.events().size();
-  telemetry.Configure(TelemetryConfig{});
-  telemetry.ResetRuntime();
+  r.spans = Telemetry::Get().spans().size();
+  r.trace_events = Telemetry::Get().events().size();
   return r;
 }
 

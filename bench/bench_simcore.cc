@@ -28,7 +28,6 @@
 #include "bench/bench_common.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -312,16 +311,8 @@ int main(int argc, char** argv) {
   std::printf("\n-- Fleet sweep rate (end-to-end simulated events/sec) --\n");
   std::printf("%4s %12s %12s %10s %14s\n", "N", "fired", "cancelled",
               "wall_ms", "events/s");
-  // Hundreds-scale by default; THINC_SIMCORE_MAX_N trims the tail on
-  // constrained CI runners.
-  std::vector<int> fleet_sizes = {4, 16, 64, 256};
-  if (const char* env = std::getenv("THINC_SIMCORE_MAX_N");
-      env != nullptr && std::atoi(env) > 0) {
-    const int max_n = std::atoi(env);
-    std::erase_if(fleet_sizes, [max_n](int n) { return n > max_n; });
-  }
   std::vector<FleetRate> rates;
-  for (int n : fleet_sizes) {
+  for (int n : {4, 16, 64, 256}) {
     FleetRate r = RunFleetSweep(n, /*pages=*/3);
     std::printf("%4d %12llu %12llu %10.1f %14.0f\n", r.n,
                 static_cast<unsigned long long>(r.fired),

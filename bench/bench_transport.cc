@@ -97,7 +97,7 @@ struct FleetRun {
 // (interleaved across the click stagger so locality is not confounded with
 // arrival phase).
 FleetRun RunMixedFleet(int n, int locals) {
-  bench::ScopedTelemetry telemetry({.spans = true});
+  TelemetryScope telemetry({.spans = true});
   const WebWorkload web(kScreenW, kScreenH, kSeed);
   EventLoop loop;
   FleetOptions fo;

@@ -1,8 +1,7 @@
 // The capacity sweeps' open-loop web fleet (bench_fleet_capacity,
 // bench_transport, bench_devices, bench_cluster): one driver that admits a
 // session population and clicks it through the web suite on a fixed
-// schedule, the telemetry set-up around each sweep point, the pooled
-// update-latency summary and the capacity-knee picker.
+// schedule, the pooled update-latency summary and the capacity-knee picker.
 #ifndef THINC_BENCH_WEB_FLEET_H_
 #define THINC_BENCH_WEB_FLEET_H_
 
@@ -27,27 +26,8 @@ constexpr SimTime kThink = 1500 * kMillisecond;
 // blows past it by seconds.
 constexpr double kKneeMs = 1000.0;
 
-// Telemetry for one sweep point: `config` with empty runtime state and
-// zeroed metrics from construction, and every facility off again from
-// destruction. Construct it before the point's hosts: they register their
-// trace pids as they are built.
-class ScopedTelemetry {
- public:
-  explicit ScopedTelemetry(const TelemetryConfig& config) {
-    Telemetry::Get().Configure(config);
-    Telemetry::Get().ResetRuntime();
-    MetricsRegistry::Get().ResetAll();
-  }
-  ~ScopedTelemetry() {
-    Telemetry::Get().Configure(TelemetryConfig{});
-    Telemetry::Get().ResetRuntime();
-  }
-  ScopedTelemetry(const ScopedTelemetry&) = delete;
-  ScopedTelemetry& operator=(const ScopedTelemetry&) = delete;
-};
-
 // Update latency (scheduler insert -> client framebuffer damage) of the
-// lifecycle spans the current run recorded; empty when spans are off.
+// lifecycle spans the live TelemetryScope recorded; empty when spans are off.
 struct UpdateLatencies {
   int64_t evicted = 0;  // overwritten in the backlog before sending
   // One entry per completed span, in span order: its latency and the trace

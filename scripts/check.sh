@@ -85,8 +85,9 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     diff -u bench/golden/paper.txt -
 
   # Trace goldens: the Chrome traces the fleet sweep, the cluster sweep and
-  # the paper's Fig. 2 breakdown write hold virtual time only, so each must
-  # hash to its digest in bench/golden/traces.sha256.
+  # the paper's Fig. 2 breakdown write hold virtual time only, and each
+  # holds only its own run's hosts (telemetry is scoped to the run), so each
+  # must hash to its digest in bench/golden/traces.sha256.
   echo "== trace goldens: TRACE_*.json vs bench/golden/traces.sha256 =="
   (cd build/bench && sha256sum -c ../../bench/golden/traces.sha256)
 fi

@@ -10,7 +10,6 @@
 #define THINC_SRC_BASELINES_LOCAL_PC_H_
 
 #include <memory>
-#include <string>
 
 #include "src/baselines/send_queue.h"
 #include "src/baselines/system.h"
@@ -24,7 +23,6 @@ class LocalPcSystem : public RemoteDisplaySystem {
   LocalPcSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
                 int32_t screen_height);
 
-  std::string name() const override { return "localPC"; }
   DrawingApi* api() override { return ws_.get(); }
   // Application logic runs on the client machine itself.
   CpuAccount* app_cpu() override { return &client_cpu_; }

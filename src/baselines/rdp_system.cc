@@ -31,14 +31,12 @@ uint64_t HashPixels(const Rect& rect, std::span<const Pixel> pixels) {
 
 RdpOptions MakeRdpOptions(bool wan_profile) {
   RdpOptions o;
-  o.name = "RDP";
   o.aggressive = wan_profile;
   return o;
 }
 
 RdpOptions MakeIcaOptions(bool wan_profile) {
   RdpOptions o;
-  o.name = "ICA";
   o.ica_client_resize = true;
   o.aggressive = wan_profile;
   o.processing_scale = 1.6;

@@ -23,14 +23,12 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 
 #include "src/baselines/wire_baseline.h"
 
 namespace thinc {
 
 struct RdpOptions {
-  std::string name = "RDP";
   // ICA mode: client-side resize on PDA (RDP clips instead).
   bool ica_client_resize = false;
   // WAN profile: LZSS the order stream harder.
@@ -48,7 +46,6 @@ class RdpSystem : public WireBaseline, private DisplayDriver {
   RdpSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
             int32_t screen_height, RdpOptions options = {});
 
-  std::string name() const override { return options_.name; }
   void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) override;
   bool SupportsViewport() const override { return true; }
   void SetViewport(int32_t width, int32_t height) override;

@@ -8,14 +8,12 @@ namespace thinc {
 
 ScrapeOptions MakeVncOptions(bool aggressive) {
   ScrapeOptions o;
-  o.name = "VNC";
   o.aggressive = aggressive;
   return o;
 }
 
 ScrapeOptions MakeGotomypcOptions() {
   ScrapeOptions o;
-  o.name = "GoToMyPC";
   o.palette8 = true;
   o.relay = true;
   o.resize_on_client = true;

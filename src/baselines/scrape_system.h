@@ -17,14 +17,12 @@
 #define THINC_SRC_BASELINES_SCRAPE_SYSTEM_H_
 
 #include <optional>
-#include <string>
 
 #include "src/baselines/wire_baseline.h"
 
 namespace thinc {
 
 struct ScrapeOptions {
-  std::string name = "VNC";
   bool palette8 = false;    // GoToMyPC: 8-bit 3-3-2 color, expensive encode
   bool aggressive = false;  // VNC adaptive profile (hextile + LZSS)
   bool relay = false;       // GoToMyPC intermediate server
@@ -40,7 +38,6 @@ class ScrapeSystem : public WireBaseline, private DisplayDriver {
   ScrapeSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
                int32_t screen_height, ScrapeOptions options);
 
-  std::string name() const override { return options_.name; }
   bool SupportsAudio() const override { return false; }  // video-only systems
   bool SupportsViewport() const override { return true; }
   void SetViewport(int32_t width, int32_t height) override;

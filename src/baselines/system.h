@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/display/drawing_api.h"
@@ -31,8 +30,6 @@ class RemoteDisplaySystem {
   using InputFn = std::function<void(Point)>;
 
   virtual ~RemoteDisplaySystem() = default;
-
-  virtual std::string name() const = 0;
 
   // The interface the application workload draws through (runs wherever the
   // GUI runs for this architecture).

@@ -4,7 +4,6 @@
 #define THINC_SRC_BASELINES_THINC_SYSTEM_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/baselines/system.h"
@@ -31,7 +30,6 @@ class ThincSystem : public RemoteDisplaySystem {
               int32_t screen_height, ThincServerOptions server_options = {},
               int server_cpu_cores = 1);
 
-  std::string name() const override { return "THINC"; }
   DrawingApi* api() override { return session_.window_server(); }
   CpuAccount* app_cpu() override { return &server_cpu_; }
 

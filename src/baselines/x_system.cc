@@ -33,7 +33,6 @@ XSystemOptions MakeXOptions() { return XSystemOptions{}; }
 
 XSystemOptions MakeNxOptions(bool wan_profile) {
   XSystemOptions o;
-  o.name = "NX";
   // The NX proxy answers most synchronous requests locally.
   o.sync_every = 150;
   o.nx_image_codec = true;

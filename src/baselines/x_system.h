@@ -21,14 +21,12 @@
 
 #include <map>
 #include <memory>
-#include <string>
 
 #include "src/baselines/wire_baseline.h"
 
 namespace thinc {
 
 struct XSystemOptions {
-  std::string name = "X";
   // One synchronous (round-trip) request per this many requests.
   int32_t sync_every = 15;
   // NX: PNG-like image codec instead of generic stream compression.
@@ -47,7 +45,6 @@ class XSystem : public WireBaseline, public DrawingApi {
           int32_t screen_height, XSystemOptions options);
 
   // --- RemoteDisplaySystem -----------------------------------------------------
-  std::string name() const override { return options_.name; }
   DrawingApi* api() override { return this; }
   void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) override {
     SendPcm(kAudio, pcm, timestamp);

@@ -251,21 +251,13 @@ WebRunResult RunWebBenchmark(SystemKind kind, const ExperimentConfig& config,
 WebBreakdownResult RunThincWebBreakdown(const ExperimentConfig& config,
                                         int32_t page_count,
                                         const std::string& trace_json_path) {
-  Telemetry& telemetry = Telemetry::Get();
-  const TelemetryConfig previous = telemetry.config();
-  TelemetryConfig tcfg;
-  tcfg.spans = true;
-  tcfg.chrome_trace = !trace_json_path.empty();
-  telemetry.Configure(tcfg);
-  telemetry.ResetRuntime();
-
+  TelemetryScope telemetry(
+      {.spans = true, .chrome_trace = !trace_json_path.empty()});
   WebBreakdownResult result;
   result.web = RunWeb(SystemKind::kThinc, config, page_count, &result.pages);
   if (!trace_json_path.empty()) {
-    result.trace_written = telemetry.WriteChromeTrace(trace_json_path);
+    result.trace_written = Telemetry::Get().WriteChromeTrace(trace_json_path);
   }
-  telemetry.Configure(previous);
-  telemetry.ResetRuntime();
   return result;
 }
 

@@ -139,8 +139,8 @@ struct WebBreakdownResult {
 // Runs the web benchmark on THINC with lifecycle spans enabled and returns
 // per-page stage breakdowns alongside the usual results. When
 // `trace_json_path` is non-empty, also enables Chrome-trace retention and
-// writes a Perfetto-loadable trace of the whole run there. The previous
-// telemetry configuration is restored before returning.
+// writes a Perfetto-loadable trace of the whole run there. The run holds
+// its own TelemetryScope, so the caller must not.
 WebBreakdownResult RunThincWebBreakdown(const ExperimentConfig& config,
                                         int32_t page_count,
                                         const std::string& trace_json_path = "");

@@ -24,13 +24,7 @@ int64_t CountMismatches(const Surface& client_fb, const Surface& screen) {
   THINC_CHECK(client_fb.width() == reference->width());
   THINC_CHECK(client_fb.height() == reference->height());
   int64_t mismatched = 0;
-  for (int32_t y = 0; y < client_fb.height(); ++y) {
-    for (int32_t x = 0; x < client_fb.width(); ++x) {
-      if (client_fb.At(x, y) != reference->At(x, y)) {
-        ++mismatched;
-      }
-    }
-  }
+  client_fb.Equals(*reference, &mismatched);
   return mismatched;
 }
 
@@ -41,13 +35,7 @@ OutageScenarioResult RunOutageScenario(const ExperimentConfig& config,
   // Robustness scenarios run with the flight recorder armed: the injected
   // reset auto-dumps the span timeline leading up to the fault (and a
   // THINC_CHECK failure anywhere in the scenario would dump it too).
-  Telemetry& telemetry = Telemetry::Get();
-  const TelemetryConfig previous = telemetry.config();
-  TelemetryConfig tcfg = previous;
-  tcfg.spans = true;
-  tcfg.flight_recorder = true;
-  telemetry.Configure(tcfg);
-  telemetry.ResetRuntime();
+  TelemetryScope telemetry({.spans = true, .flight_recorder = true});
 
   EventLoop loop;
   ThincSystem sys(&loop, config.link, config.screen_width, config.screen_height);
@@ -140,8 +128,6 @@ OutageScenarioResult RunOutageScenario(const ExperimentConfig& config,
   result.mismatched_pixels =
       CountMismatches(sys.client()->framebuffer(), sys.window_server()->screen());
   result.resynced = result.mismatched_pixels == 0;
-  telemetry.Configure(previous);
-  telemetry.ResetRuntime();
   return result;
 }
 

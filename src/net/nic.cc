@@ -32,16 +32,6 @@ int NicScheduler::AttachFlow(int64_t weight, std::function<void()> kick) {
   return static_cast<int>(flows_.size()) - 1;
 }
 
-void NicScheduler::SetWeight(int flow, int64_t weight) {
-  THINC_CHECK(weight > 0);
-  flows_[static_cast<size_t>(flow)].weight = weight;
-}
-
-void NicScheduler::SetBandwidth(int64_t bandwidth_bps) {
-  THINC_CHECK(bandwidth_bps > 0);
-  bandwidth_bps_ = bandwidth_bps;
-}
-
 size_t NicScheduler::parked_count() const {
   size_t n = 0;
   for (const Flow& f : flows_) {

@@ -40,7 +40,6 @@ class NicScheduler {
   // loop event) whenever a previously refused flow may try to serialize
   // again. Returns the flow id used in TryReserve.
   int AttachFlow(int64_t weight, std::function<void()> kick);
-  void SetWeight(int flow, int64_t weight);
 
   // A flow holding a ready segment of `seg_len` bytes asks for the wire.
   // On success returns true and sets *depart to when the segment's last bit
@@ -56,7 +55,6 @@ class NicScheduler {
   // flow's grants indefinitely. No-op for unparked flows.
   void ReleaseFlow(int flow);
 
-  void SetBandwidth(int64_t bandwidth_bps);
   int64_t bandwidth_bps() const { return bandwidth_bps_; }
   SimTime busy_until() const { return free_at_; }
   size_t flow_count() const { return flows_.size(); }

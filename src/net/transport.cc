@@ -12,15 +12,8 @@ void DeliveryLedger::Record(SimTime now, std::span<const uint8_t> bytes) {
   for (uint8_t b : bytes) {
     delivered_hash_ = (delivered_hash_ ^ b) * 1099511628211ULL;
   }
-  phase_delivered_bytes_ += static_cast<int64_t>(bytes.size());
   last_delivery_ = now;
   trace_.push_back(TraceRecord{now, static_cast<int64_t>(bytes.size())});
-}
-
-void DeliveryLedger::ResetPhase() {
-  trace_.clear();
-  phase_delivered_bytes_ = 0;
-  last_delivery_ = 0;
 }
 
 void Transport::SetReceiver(int endpoint, ReceiveFn fn) {
@@ -185,16 +178,6 @@ uint64_t Transport::DeliveredHashTo(int endpoint) const {
 
 SimTime Transport::LastDeliveryTo(int endpoint) const {
   return ledgers_[1 - endpoint].last_delivery();
-}
-
-int64_t Transport::PhaseBytesDeliveredTo(int endpoint) const {
-  return ledgers_[1 - endpoint].phase_delivered_bytes();
-}
-
-void Transport::ResetTraces() {
-  for (DeliveryLedger& ledger : ledgers_) {
-    ledger.ResetPhase();
-  }
 }
 
 }  // namespace thinc

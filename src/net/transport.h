@@ -16,8 +16,8 @@
 // Design rules the base class enforces rather than documents:
 //
 //   * The measurement surface (traces, delivered-byte counters, the FNV-1a
-//     delivered-byte hash, phase bookkeeping) is NON-virtual and backed by a
-//     shared DeliveryLedger per direction. An implementation delivers bytes
+//     delivered-byte hash, the last delivery time) is NON-virtual and backed
+//     by a shared DeliveryLedger per direction. An implementation delivers bytes
 //     only through Transport::Deliver(), so the bookkeeping — and with it
 //     the determinism fingerprint — cannot drift between transports.
 //   * Fault-plan semantics (outage freeze/replay in original order, reset
@@ -57,9 +57,7 @@ enum class TransportKind {
 };
 
 // Per-direction delivery bookkeeping, shared by every transport so the
-// measurement surface cannot diverge between implementations. Lifetime
-// counters (bytes, hash) survive phase resets; the trace and the per-phase
-// counters restart at each ResetPhase().
+// measurement surface cannot diverge between implementations.
 class DeliveryLedger {
  public:
   // Records one delivery of `bytes` completing at `now`. Counter order and
@@ -67,22 +65,16 @@ class DeliveryLedger {
   // delivery order, independent of how the stream was segmented.
   void Record(SimTime now, std::span<const uint8_t> bytes);
 
-  // Starts a new measurement phase: clears the trace and the per-phase
-  // counters. Lifetime counters are untouched.
-  void ResetPhase();
-
   const std::vector<TraceRecord>& trace() const { return trace_; }
   int64_t delivered_bytes() const { return delivered_bytes_; }
   uint64_t delivered_hash() const { return delivered_hash_; }
-  int64_t phase_delivered_bytes() const { return phase_delivered_bytes_; }
   SimTime last_delivery() const { return last_delivery_; }
 
  private:
   std::vector<TraceRecord> trace_;
-  int64_t delivered_bytes_ = 0;        // lifetime
-  uint64_t delivered_hash_ = 14695981039346656037ULL;  // FNV-1a, lifetime
-  int64_t phase_delivered_bytes_ = 0;  // since last ResetPhase()
-  SimTime last_delivery_ = 0;          // since last ResetPhase()
+  int64_t delivered_bytes_ = 0;
+  uint64_t delivered_hash_ = 14695981039346656037ULL;  // FNV-1a
+  SimTime last_delivery_ = 0;
 };
 
 // Passive observer of transport-level events, the measurement feed for
@@ -174,28 +166,18 @@ class Transport {
 
   // --- Measurement (direction identified by receiving endpoint) -------------
   const std::vector<TraceRecord>& TraceTo(int endpoint) const;
-  // Lifetime byte counter: survives ResetTraces().
   int64_t BytesDeliveredTo(int endpoint) const;
   // FNV-1a hash over every byte delivered to `endpoint`, in delivery order.
   // Segmentation-independent (bytes hash one at a time), so two runs whose
   // segment boundaries differ but whose byte stream matches hash equal —
   // the determinism fingerprint compared across core counts AND across
-  // transports. Survives ResetTraces().
+  // transports.
   uint64_t DeliveredHashTo(int endpoint) const;
-  // Timestamp of the last delivery in the CURRENT measurement phase, i.e.
-  // since the last ResetTraces() (0 when nothing has been delivered this
-  // phase — a page/phase that transfers no data never inherits an older
-  // phase's timestamp).
+  // Timestamp of the last delivery to `endpoint` (0 before the first).
   SimTime LastDeliveryTo(int endpoint) const;
-  // Bytes delivered in the current measurement phase.
-  int64_t PhaseBytesDeliveredTo(int endpoint) const;
   // True when no data is buffered or in flight in either direction (a
   // closed transport is always idle: nothing will ever move again).
   virtual bool Idle() const = 0;
-  // Starts a new measurement phase: clears traces and per-phase delivery
-  // bookkeeping (LastDeliveryTo / PhaseBytesDeliveredTo). Lifetime counters
-  // (BytesDeliveredTo) and channel state are untouched.
-  void ResetTraces();
 
  protected:
   // Records `payload` as delivered (direction = sent from `from`) through

@@ -179,10 +179,4 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-void MetricsRegistry::Print(std::FILE* out) const {
-  for (const Sample& s : Snapshot()) {
-    std::fprintf(out, "%-36s %.2f\n", s.name.c_str(), s.value);
-  }
-}
-
 }  // namespace thinc

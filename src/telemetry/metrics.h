@@ -15,7 +15,6 @@
 #define THINC_SRC_TELEMETRY_METRICS_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -123,7 +122,6 @@ class MetricsRegistry {
   // Flat name->value view, sorted by name; histograms expand into .count,
   // .mean, .p50, .p95, .p99, .max samples.
   std::vector<Sample> Snapshot() const;
-  void Print(std::FILE* out) const;
 
  private:
   MetricsRegistry();

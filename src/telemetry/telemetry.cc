@@ -43,37 +43,41 @@ void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+// The live TelemetryScope's instance; null outside every scope.
+Telemetry* g_scoped = nullptr;
+
 }  // namespace
 
 Telemetry& Telemetry::Get() {
-  static Telemetry* telemetry = new Telemetry();
-  return *telemetry;
+  if (g_scoped != nullptr) {
+    return *g_scoped;
+  }
+  static Telemetry* const off = new Telemetry(TelemetryConfig{});
+  return *off;
 }
 
-void Telemetry::Configure(const TelemetryConfig& config) {
-  config_ = config;
+Telemetry::Telemetry(const TelemetryConfig& config) : config_(config) {
   if (config_.chrome_trace) {
     // The network emits its instants on pid 0 (the sim) tid 1.
     thread_names_[{0, 1}] = "network";
   }
   if (config_.flight_recorder) {
-    if (flight_.capacity() < config_.flight_capacity) {
-      flight_.reserve(config_.flight_capacity);
-    }
-    g_check_failure_hook = &DumpOnCheckFailure;
-  } else if (g_check_failure_hook == &DumpOnCheckFailure) {
-    g_check_failure_hook = nullptr;
+    flight_.reserve(config_.flight_capacity);
   }
 }
 
-void Telemetry::ResetRuntime() {
-  spans_.clear();
-  events_.clear();
-  next_order_ = 0;
-  open_spans_.clear();
-  wire_channels_.clear();
-  flight_.clear();
-  flight_head_ = 0;
+TelemetryScope::TelemetryScope(const TelemetryConfig& config)
+    : telemetry_(config), previous_hook_(g_check_failure_hook) {
+  THINC_CHECK_MSG(g_scoped == nullptr, "telemetry scopes do not nest");
+  g_scoped = &telemetry_;
+  if (config.flight_recorder) {
+    g_check_failure_hook = &DumpOnCheckFailure;
+  }
+}
+
+TelemetryScope::~TelemetryScope() {
+  g_scoped = nullptr;
+  g_check_failure_hook = previous_hook_;
 }
 
 int Telemetry::RegisterHost(const std::string& name) {

@@ -1,8 +1,9 @@
 // Telemetry: virtual-time-native observability for the simulation.
 //
-// Three opt-in facilities behind one TelemetryConfig (all off by default;
-// a disabled facility costs one branch per call site and never touches wire
-// bytes or virtual time — enabling telemetry can never change results):
+// Three opt-in facilities behind one TelemetryConfig. Outside every
+// TelemetryScope all three are off: a disabled facility costs one branch per
+// call site and never touches wire bytes or virtual time — enabling
+// telemetry can never change results.
 //
 //   * Lifecycle spans — every display update headed for the wire gets a
 //     trace id at driver interception / scheduler insert and carries it
@@ -17,6 +18,12 @@
 //     resets, fault-plan events, and THINC_CHECK failures dump
 //     automatically, turning robustness-scenario debugging into a readable
 //     timeline.
+//
+// A TelemetryScope turns telemetry on for one run: while it lives,
+// Telemetry::Get() is the scope's own instance, holding that run's spans,
+// events, flight ring, wire channels, and host and thread registrations, so
+// a trace describes its own run and numbers its hosts from pid 1 however
+// many runs came before it in the process.
 //
 // Trace ids travel server->client OUT OF BAND through a per-connection FIFO
 // (PushWireTrace/PopWireTrace keyed by the Connection pointer): the
@@ -104,24 +111,16 @@ struct FlightRecord {
 
 class Telemetry {
  public:
+  // The live TelemetryScope's instance, or an all-off one outside every
+  // scope.
   static Telemetry& Get();
 
-  // Install the configuration (and the THINC_CHECK failure hook when the
-  // flight recorder is on). Does not clear recorded data; pair with
-  // ResetRuntime() to start clean.
-  void Configure(const TelemetryConfig& config);
-  const TelemetryConfig& config() const { return config_; }
   bool spans_on() const { return config_.spans; }
   bool trace_on() const { return config_.chrome_trace; }
   bool recorder_on() const { return config_.flight_recorder; }
   bool active() const {
     return config_.spans || config_.chrome_trace || config_.flight_recorder;
   }
-
-  // Drops all recorded spans/events/flight records and wire channels (phase
-  // boundary). Host/thread registrations survive: they are identity, and
-  // live components cache their pids.
-  void ResetRuntime();
 
   // --- Hosts (one Chrome pid per simulated host) ---------------------------
   // pid 0 is reserved for the simulation/network itself.
@@ -175,7 +174,8 @@ class Telemetry {
   bool WriteChromeTrace(const std::string& path) const;
 
  private:
-  Telemetry() = default;
+  friend class TelemetryScope;
+  explicit Telemetry(const TelemetryConfig& config);
 
   void PushEvent(TraceEvent e);
 
@@ -192,6 +192,24 @@ class Telemetry {
 
   std::vector<FlightRecord> flight_;  // ring; flight_head_ is the next slot
   size_t flight_head_ = 0;
+};
+
+// Telemetry for one run, the only way to turn it on. Construction gives
+// Telemetry::Get() a fresh instance with `config` and, when the flight
+// recorder is on, makes THINC_CHECK failures dump it; destruction restores
+// the all-off instance and the previous failure hook. Construct it before
+// the run's hosts, which register their trace pids as they are built, and
+// read what the run recorded before it ends. Scopes do not nest.
+class TelemetryScope {
+ public:
+  explicit TelemetryScope(const TelemetryConfig& config);
+  ~TelemetryScope();
+  TelemetryScope(const TelemetryScope&) = delete;
+  TelemetryScope& operator=(const TelemetryScope&) = delete;
+
+ private:
+  Telemetry telemetry_;
+  void (*previous_hook_)(const char* file, int line, const char* cond);
 };
 
 }  // namespace thinc

@@ -152,18 +152,11 @@ Pixel PixelFor(int i) {
                    static_cast<uint8_t>(i * 151 + 90));
 }
 
+// Every pixel of `a` when the sizes differ.
 int64_t MismatchedPixels(const Surface& a, const Surface& b) {
-  EXPECT_EQ(a.width(), b.width());
-  EXPECT_EQ(a.height(), b.height());
-  int64_t bad = 0;
-  for (int32_t y = 0; y < a.height(); ++y) {
-    for (int32_t x = 0; x < a.width(); ++x) {
-      if (a.At(x, y) != b.At(x, y)) {
-        ++bad;
-      }
-    }
-  }
-  return bad;
+  int64_t diff = 0;
+  a.Equals(b, &diff);
+  return diff;
 }
 
 TEST(ReconnectTest, MidFrameResetParksServerWithoutCrashing) {

@@ -345,8 +345,7 @@ struct AutoRunResult {
 // for the run.
 AutoRunResult RunSkewedCluster(bool migration, int cores,
                                const TelemetryConfig& telemetry = {}) {
-  Telemetry::Get().Configure(telemetry);
-  Telemetry::Get().ResetRuntime();
+  TelemetryScope scope(telemetry);
   EventLoop loop;
   ClusterOptions co = SmallCluster(2, /*seed=*/11);
   // Starve the NIC well below the offered page load so host 0's demand lag
@@ -398,8 +397,6 @@ AutoRunResult RunSkewedCluster(bool migration, int cores,
   r.completed = cluster.migrations_completed();
   r.end_vtime = loop.now();
   r.spans = Telemetry::Get().spans().size();
-  Telemetry::Get().Configure(TelemetryConfig{});
-  Telemetry::Get().ResetRuntime();
   return r;
 }
 

@@ -162,17 +162,6 @@ TEST(ConnectionTest, TraceRecordsDeliveries) {
   EXPECT_EQ(conn.BytesDeliveredTo(Connection::kClient), 3000);
 }
 
-TEST(ConnectionTest, ResetTracesKeepsCounters) {
-  EventLoop loop;
-  Connection conn(&loop, FastLink());
-  conn.SetReceiver(Connection::kClient, [](std::span<const uint8_t>) {});
-  conn.Send(Connection::kServer, Payload(100));
-  loop.Run();
-  conn.ResetTraces();
-  EXPECT_TRUE(conn.TraceTo(Connection::kClient).empty());
-  EXPECT_EQ(conn.BytesDeliveredTo(Connection::kClient), 100);
-}
-
 TEST(ConnectionTest, IdleReflectsInFlightData) {
   EventLoop loop;
   Connection conn(&loop, FastLink());
@@ -281,27 +270,6 @@ TEST(ConnectionTest, ResetDropsInFlightAndNotifiesBothEndpoints) {
   EXPECT_EQ(conn.Send(Connection::kServer, Payload(10)), 0u);  // dead for good
   EXPECT_EQ(conn.FreeSpace(Connection::kServer), 0u);
   EXPECT_TRUE(conn.Idle());
-}
-
-TEST(ConnectionTest, ResetTracesStartsNewDeliveryPhase) {
-  EventLoop loop;
-  Connection conn(&loop, FastLink());
-  conn.SetReceiver(Connection::kClient, [](std::span<const uint8_t>) {});
-  conn.Send(Connection::kServer, Payload(100));
-  loop.Run();
-  EXPECT_EQ(conn.PhaseBytesDeliveredTo(Connection::kClient), 100);
-  EXPECT_GT(conn.LastDeliveryTo(Connection::kClient), 0);
-
-  conn.ResetTraces();
-  // A phase that transfers nothing reports nothing — no stale timestamp.
-  EXPECT_EQ(conn.PhaseBytesDeliveredTo(Connection::kClient), 0);
-  EXPECT_EQ(conn.LastDeliveryTo(Connection::kClient), 0);
-  EXPECT_EQ(conn.BytesDeliveredTo(Connection::kClient), 100);  // lifetime
-
-  conn.Send(Connection::kServer, Payload(250));
-  loop.Run();
-  EXPECT_EQ(conn.PhaseBytesDeliveredTo(Connection::kClient), 250);
-  EXPECT_EQ(conn.BytesDeliveredTo(Connection::kClient), 350);
 }
 
 TEST(RelayTest, ForwardsBothDirections) {

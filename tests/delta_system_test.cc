@@ -41,18 +41,11 @@ ThincServerOptions AdaptOn() {
   return so;
 }
 
+// Every pixel of `a` when the sizes differ.
 int64_t MismatchedPixels(const Surface& a, const Surface& b) {
-  EXPECT_EQ(a.width(), b.width());
-  EXPECT_EQ(a.height(), b.height());
-  int64_t bad = 0;
-  for (int32_t y = 0; y < a.height(); ++y) {
-    for (int32_t x = 0; x < a.width(); ++x) {
-      if (a.At(x, y) != b.At(x, y)) {
-        ++bad;
-      }
-    }
-  }
-  return bad;
+  int64_t diff = 0;
+  a.Equals(b, &diff);
+  return diff;
 }
 
 // A desktop-like frame for an `w`x`h` application window: a static textured
@@ -242,9 +235,7 @@ struct WanWire {
 // configuration `config` (installed before the session is built: servers
 // register their trace hosts in their constructors).
 WanWire RunWanDesktopUnder(const TelemetryConfig& config) {
-  Telemetry& telemetry = Telemetry::Get();
-  telemetry.Configure(config);
-  telemetry.ResetRuntime();
+  TelemetryScope scope(config);
   const int64_t hits0 = DeltaHits();
   EventLoop loop;
   ThincSystem sys(&loop, WanDesktopLink(), 160, 120, AdaptOn());
@@ -261,8 +252,6 @@ WanWire RunWanDesktopUnder(const TelemetryConfig& config) {
   out.bytes = sys.connection()->BytesDeliveredTo(Connection::kClient);
   out.end = loop.now();
   out.delta_hits = DeltaHits() - hits0;
-  telemetry.Configure(TelemetryConfig{});
-  telemetry.ResetRuntime();
   return out;
 }
 

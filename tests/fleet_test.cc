@@ -438,8 +438,7 @@ struct OverloadRun {
 // `telemetry` configured for the run: the sessions cannot drain their
 // sockets, so the controller must walk them up the ladder.
 OverloadRun RunOverloadedFleet(const TelemetryConfig& telemetry) {
-  Telemetry::Get().Configure(telemetry);
-  Telemetry::Get().ResetRuntime();
+  TelemetryScope scope(telemetry);
   LinkParams slow{200'000, 50 * kMillisecond, 64 << 10, "slow"};
   EventLoop loop;
   FleetOptions fo = SmallFleet(slow, /*seed=*/3);
@@ -472,8 +471,6 @@ OverloadRun RunOverloadedFleet(const TelemetryConfig& telemetry) {
   }
   r.end_vtime = loop.now();
   r.spans = Telemetry::Get().spans().size();
-  Telemetry::Get().Configure(TelemetryConfig{});
-  Telemetry::Get().ResetRuntime();
   return r;
 }
 

@@ -13,13 +13,14 @@
 #include "src/net/link.h"
 #include "src/telemetry/metrics.h"
 #include "src/util/event_loop.h"
+#include "src/util/logging.h"
 
 namespace thinc {
 namespace {
 
-// gtest_discover_tests runs each test in its own process, so every test sees
-// a fresh Telemetry/MetricsRegistry singleton; tests still Configure
-// explicitly to document what they depend on.
+// Each telemetry test records inside its own TelemetryScope, so tests that
+// share a process (build/tests/test_telemetry run directly) see none of each
+// other's spans, events or hosts. MetricsRegistry stays process-wide.
 
 // --- Metrics -----------------------------------------------------------------
 
@@ -130,11 +131,8 @@ TEST(MetricsTest, SnapshotIncludesExternalBufferStats) {
 // --- Generic span nesting ----------------------------------------------------
 
 TEST(TelemetryTest, SpanOpenCloseNesting) {
+  TelemetryScope scope({.chrome_trace = true});
   Telemetry& t = Telemetry::Get();
-  TelemetryConfig cfg;
-  cfg.chrome_trace = true;
-  t.Configure(cfg);
-  t.ResetRuntime();
 
   t.BeginSpan(1, 1, "outer", 100);
   t.BeginSpan(1, 1, "inner", 110);
@@ -158,9 +156,8 @@ TEST(TelemetryTest, SpanOpenCloseNesting) {
 }
 
 TEST(TelemetryTest, DisabledFacilitiesRecordNothing) {
-  Telemetry& t = Telemetry::Get();
-  t.Configure(TelemetryConfig{});  // everything off
-  t.ResetRuntime();
+  Telemetry& t = Telemetry::Get();  // outside every scope: everything off
+  EXPECT_FALSE(t.active());
   EXPECT_EQ(t.NewUpdateSpan(1, 1, 100), 0u);
   t.BeginSpan(1, 1, "x", 1);
   t.Instant(1, 1, "y", 2);
@@ -175,12 +172,8 @@ TEST(TelemetryTest, DisabledFacilitiesRecordNothing) {
 // --- Flight recorder ---------------------------------------------------------
 
 TEST(TelemetryTest, FlightRecorderRingWraparound) {
+  TelemetryScope scope({.flight_recorder = true, .flight_capacity = 4});
   Telemetry& t = Telemetry::Get();
-  TelemetryConfig cfg;
-  cfg.flight_recorder = true;
-  cfg.flight_capacity = 4;
-  t.Configure(cfg);
-  t.ResetRuntime();
 
   for (int i = 1; i <= 10; ++i) {
     t.Record("tick", /*ts=*/i * 100, /*a=*/i);
@@ -196,12 +189,8 @@ TEST(TelemetryTest, FlightRecorderRingWraparound) {
 }
 
 TEST(TelemetryTest, FlightRecorderBelowCapacity) {
+  TelemetryScope scope({.flight_recorder = true, .flight_capacity = 8});
   Telemetry& t = Telemetry::Get();
-  TelemetryConfig cfg;
-  cfg.flight_recorder = true;
-  cfg.flight_capacity = 8;
-  t.Configure(cfg);
-  t.ResetRuntime();
   t.Record("a", 1);
   t.Record("b", 2);
   std::vector<FlightRecord> timeline = t.FlightTimeline();
@@ -213,11 +202,8 @@ TEST(TelemetryTest, FlightRecorderBelowCapacity) {
 // --- Wire-trace channels -----------------------------------------------------
 
 TEST(TelemetryTest, WireChannelIsFifoPerChannel) {
+  TelemetryScope scope({.spans = true});
   Telemetry& t = Telemetry::Get();
-  TelemetryConfig cfg;
-  cfg.spans = true;
-  t.Configure(cfg);
-  t.ResetRuntime();
 
   int chan_a = 0, chan_b = 0;  // distinct addresses as channel keys
   t.PushWireTrace(&chan_a, 1);
@@ -238,11 +224,9 @@ TEST(TelemetryTest, WireChannelIsFifoPerChannel) {
 // --- End-to-end lifecycle spans ----------------------------------------------
 
 TEST(LifecycleSpanTest, DrawsProduceOrderedCompletedSpans) {
+  // BEFORE system construction (hosts register in ctors)
+  TelemetryScope scope({.spans = true});
   Telemetry& t = Telemetry::Get();
-  TelemetryConfig cfg;
-  cfg.spans = true;
-  t.Configure(cfg);  // BEFORE system construction (hosts register in ctors)
-  t.ResetRuntime();
 
   EventLoop loop;
   ThincSystem sys(&loop, LanDesktopLink(), 320, 240);
@@ -297,21 +281,12 @@ std::string ReadFileOrEmpty(const std::string& path) {
 }
 
 // Builds a small fixed scenario entirely from synthetic stamps (no event
-// loop), so the export is byte-stable across runs and machines. Returns an
-// empty string when another test in this process already registered hosts
-// (host registration is identity and survives ResetRuntime, so the export's
-// metadata block is only reproducible in a fresh process — which is how
-// ctest runs each test).
+// loop), so the export is byte-stable across runs and machines.
 std::string BuildFixedScenarioTrace() {
+  TelemetryScope scope({.chrome_trace = true});
   Telemetry& t = Telemetry::Get();
-  TelemetryConfig cfg;
-  cfg.chrome_trace = true;
-  t.Configure(cfg);
-  t.ResetRuntime();
   int pid = t.RegisterHost("golden-host");
-  if (pid != 1) {
-    return "";
-  }
+  EXPECT_EQ(pid, 1);
   t.NameThread(pid, 1, "stage");
   t.BeginSpan(pid, 1, "page \"one\"", 100);  // quoting exercises the escaper
   t.Instant(pid, 1, "tick", 150);
@@ -324,9 +299,6 @@ std::string BuildFixedScenarioTrace() {
 
 TEST(ChromeTraceTest, GoldenFixedScenario) {
   const std::string json = BuildFixedScenarioTrace();
-  if (json.empty()) {
-    GTEST_SKIP() << "process not fresh; run via ctest for the golden check";
-  }
   const std::string golden_path =
       std::string(THINC_SOURCE_DIR) + "/tests/golden/telemetry_trace.json";
   if (std::getenv("THINC_REGENERATE_GOLDEN") != nullptr) {
@@ -405,21 +377,13 @@ void ValidateChromeTrace(const std::string& json) {
 }
 
 TEST(ChromeTraceTest, FixedScenarioIsStructurallyValid) {
-  const std::string json = BuildFixedScenarioTrace();
-  if (json.empty()) {
-    GTEST_SKIP() << "process not fresh; run via ctest";
-  }
-  ValidateChromeTrace(json);
+  ValidateChromeTrace(BuildFixedScenarioTrace());
 }
 
-TEST(ChromeTraceTest, RealRunExportIsStructurallyValid) {
-  Telemetry& t = Telemetry::Get();
-  TelemetryConfig cfg;
-  cfg.spans = true;
-  cfg.chrome_trace = true;
-  t.Configure(cfg);
-  t.ResetRuntime();
-
+// Traces a small THINC session drawing a fill and an image in a scope of its
+// own.
+std::string TraceSmallSession() {
+  TelemetryScope scope({.spans = true, .chrome_trace = true});
   EventLoop loop;
   ThincSystem sys(&loop, LanDesktopLink(), 320, 240);
   loop.Run();
@@ -427,14 +391,47 @@ TEST(ChromeTraceTest, RealRunExportIsStructurallyValid) {
   std::vector<Pixel> px(static_cast<size_t>(48) * 48, MakePixel(5, 6, 7));
   sys.api()->PutImage(kScreenDrawable, Rect{20, 20, 48, 48}, px);
   loop.Run();
+  return Telemetry::Get().ExportChromeTrace();
+}
 
-  const std::string json = t.ExportChromeTrace();
+TEST(ChromeTraceTest, RealRunExportIsStructurallyValid) {
+  const std::string json = TraceSmallSession();
   ValidateChromeTrace(json);
   // The per-update slices made it into the trace.
   EXPECT_NE(json.find("\"queue\""), std::string::npos);
   EXPECT_NE(json.find("\"encode\""), std::string::npos);
   EXPECT_NE(json.find("\"net\""), std::string::npos);
   EXPECT_NE(json.find("\"decode+apply\""), std::string::npos);
+}
+
+// A trace holds only its own run: the same session traced twice in one
+// process exports the same bytes, hosts numbered from pid 1 both times.
+TEST(ChromeTraceTest, ConsecutiveRunsExportIdenticalTraces) {
+  const std::string first = TraceSmallSession();
+  EXPECT_NE(first.find("\"thinc-server#1\""), std::string::npos);
+  EXPECT_EQ(TraceSmallSession(), first);
+}
+
+// Leaving a scope restores the all-off instance and the previous
+// THINC_CHECK failure hook.
+TEST(TelemetryScopeTest, EndRestoresTheOffInstanceAndHook) {
+  Telemetry* off = &Telemetry::Get();
+  auto* const hook = g_check_failure_hook;
+  {
+    TelemetryScope scope({.flight_recorder = true});
+    EXPECT_NE(&Telemetry::Get(), off);
+    EXPECT_NE(g_check_failure_hook, hook);
+    Telemetry::Get().Record("x", 1);
+    EXPECT_EQ(Telemetry::Get().FlightTimeline().size(), 1u);
+  }
+  EXPECT_EQ(&Telemetry::Get(), off);
+  EXPECT_EQ(g_check_failure_hook, hook);
+  EXPECT_TRUE(off->FlightTimeline().empty());
+}
+
+TEST(TelemetryScopeTest, ScopesDoNotNest) {
+  TelemetryScope outer({});
+  EXPECT_DEATH(TelemetryScope inner({}), "telemetry scopes do not nest");
 }
 
 }  // namespace

@@ -224,32 +224,23 @@ TEST_P(TransportConformanceTest, ResetDropsEverythingAndClosesOnce) {
   EXPECT_TRUE(t->Idle()) << "a closed transport is permanently idle";
 }
 
-TEST_P(TransportConformanceTest, PhaseResetClearsTraceButNotLifetime) {
+TEST_P(TransportConformanceTest, LedgerAccumulatesBytesHashAndTrace) {
   EventLoop loop;
   auto t = Make(&loop);
   t->SetReceiver(Transport::kClient, [](std::span<const uint8_t>) {});
   EXPECT_EQ(t->Send(Transport::kServer, Payload(2000)), 2000u);
   loop.Run();
   const uint64_t hash_after_first = t->DeliveredHashTo(Transport::kClient);
+  const size_t records_after_first = t->TraceTo(Transport::kClient).size();
   EXPECT_EQ(t->BytesDeliveredTo(Transport::kClient), 2000);
-  EXPECT_EQ(t->PhaseBytesDeliveredTo(Transport::kClient), 2000);
   EXPECT_GT(t->LastDeliveryTo(Transport::kClient), 0);
-  EXPECT_FALSE(t->TraceTo(Transport::kClient).empty());
-
-  t->ResetTraces();
-  EXPECT_TRUE(t->TraceTo(Transport::kClient).empty());
-  EXPECT_EQ(t->PhaseBytesDeliveredTo(Transport::kClient), 0);
-  EXPECT_EQ(t->LastDeliveryTo(Transport::kClient), 0)
-      << "a phase with no deliveries must not inherit an older timestamp";
-  EXPECT_EQ(t->BytesDeliveredTo(Transport::kClient), 2000)
-      << "lifetime counters survive phase resets";
-  EXPECT_EQ(t->DeliveredHashTo(Transport::kClient), hash_after_first);
+  EXPECT_GT(records_after_first, 0u);
 
   EXPECT_EQ(t->Send(Transport::kServer, Payload(500)), 500u);
   loop.Run();
-  EXPECT_EQ(t->PhaseBytesDeliveredTo(Transport::kClient), 500);
   EXPECT_EQ(t->BytesDeliveredTo(Transport::kClient), 2500);
   EXPECT_NE(t->DeliveredHashTo(Transport::kClient), hash_after_first);
+  EXPECT_GT(t->TraceTo(Transport::kClient).size(), records_after_first);
 }
 
 TEST_P(TransportConformanceTest, IdleReflectsPendingData) {
@@ -597,23 +588,13 @@ TEST(RelayZeroCopyTest, ForwardedBytesAreNeverRecopied) {
 
 // --- Reconnect kind switching -------------------------------------------------
 
-size_t MismatchedPixels(const Surface& a, const Surface& b) {
-  size_t bad = 0;
-  for (int32_t y = 0; y < a.height(); ++y) {
-    for (int32_t x = 0; x < a.width(); ++x) {
-      bad += a.At(x, y) != b.At(x, y) ? 1 : 0;
-    }
-  }
-  return bad;
-}
-
 // A session that starts on `start`, loses its transport mid-outage drawing,
 // and reconnects onto `resume` — possibly a different transport kind (the
 // cluster migrates sessions between remote wires and co-located loopbacks).
 // Returns the delivered-byte hash of the POST-rebind transport; phases are
 // quiesced so the resync and follow-on streams are content-determined.
 uint64_t RunKindSwitchSession(TransportKind start, TransportKind resume,
-                              size_t* mismatched = nullptr) {
+                              int64_t* mismatched = nullptr) {
   EventLoop loop;
   ThincSystem sys(&loop, LanDesktopLink(), 128, 96, ThincServerOptions{},
                   /*cpu_cores=*/1, start);
@@ -633,37 +614,35 @@ uint64_t RunKindSwitchSession(TransportKind start, TransportKind resume,
   loop.Run();
   EXPECT_TRUE(sys.server()->connected());
   EXPECT_TRUE(sys.client()->connected());
-  if (mismatched != nullptr) {
-    *mismatched = MismatchedPixels(sys.client()->framebuffer(), ws->screen());
-  }
+  sys.client()->framebuffer().Equals(ws->screen(), mismatched);
   return fresh->DeliveredHashTo(Transport::kClient);
 }
 
 TEST(ReconnectKindSwitchTest, WireSessionResumesOnLoopback) {
-  size_t mismatched = 1;
+  int64_t mismatched = 1;
   RunKindSwitchSession(TransportKind::kWire, TransportKind::kLoopback,
                        &mismatched);
-  EXPECT_EQ(mismatched, 0u);
+  EXPECT_EQ(mismatched, 0);
 }
 
 TEST(ReconnectKindSwitchTest, LoopbackSessionResumesOnWire) {
-  size_t mismatched = 1;
+  int64_t mismatched = 1;
   RunKindSwitchSession(TransportKind::kLoopback, TransportKind::kWire,
                        &mismatched);
-  EXPECT_EQ(mismatched, 0u);
+  EXPECT_EQ(mismatched, 0);
 }
 
 TEST(ReconnectKindSwitchTest, PostRebindStreamHashMatchesAcrossKinds) {
   // The same parked session resumed on a wire vs on a loopback must push a
   // byte-identical post-rebind stream — the rebound kind carries the resync
   // and the follow-on phase, it never shapes them.
-  size_t same_kind = 1, switched = 1;
+  int64_t same_kind = 1, switched = 1;
   const uint64_t wire_resume = RunKindSwitchSession(
       TransportKind::kWire, TransportKind::kWire, &same_kind);
   const uint64_t loopback_resume = RunKindSwitchSession(
       TransportKind::kWire, TransportKind::kLoopback, &switched);
-  EXPECT_EQ(same_kind, 0u);
-  EXPECT_EQ(switched, 0u);
+  EXPECT_EQ(same_kind, 0);
+  EXPECT_EQ(switched, 0);
   EXPECT_EQ(wire_resume, loopback_resume);
 }
 
