@@ -72,6 +72,25 @@ TEST(WebWorkloadTest, ImageContentDeterministicAndVaried) {
   EXPECT_NE(a, c);
 }
 
+TEST(WebWorkloadTest, ImageContentMatchesGoldenHash) {
+  // FNV-1a over every pixel of several pages' images at sizes that are and
+  // are not multiples of the 4x4 noise block, including one-pixel ramps.
+  // Pinned so a faster generator must reproduce every pixel.
+  const int32_t sizes[][2] = {{1, 1}, {3, 2}, {7, 5}, {80, 60}, {319, 219}};
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (int32_t page : {0, 1, 3, 17, 53}) {
+    for (int32_t image = 0; image < 4; ++image) {
+      for (const auto& size : sizes) {
+        for (Pixel p : WebWorkload::ImageContent(page, image, size[0], size[1])) {
+          h ^= p;
+          h *= 0x100000001B3ULL;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 0xEF7FC88482FBDADFULL);
+}
+
 TEST(WebWorkloadTest, TextLineRespectsLength) {
   std::string line = WebWorkload::TextLine(0, 0, 0, 72);
   EXPECT_EQ(line.size(), 72u);
