@@ -86,8 +86,9 @@ class RdpSystem : public WireBaseline, private DisplayDriver {
 
   // Bitmap cache: hashes of image payloads both sides hold.
   std::set<uint64_t> bitmap_cache_;
-  // Client-side copy of cached payloads, keyed by hash.
-  std::map<uint64_t, std::vector<Pixel>> client_cache_;
+  // Client-side copy of cached payloads as they arrived (LZSS), keyed by
+  // hash; a hit decodes its entry again.
+  std::map<uint64_t, std::vector<uint8_t>> client_cache_;
 };
 
 }  // namespace thinc
