@@ -20,6 +20,7 @@
 #include "src/raster/surface.h"
 #include "src/raster/yuv.h"
 #include "src/baselines/thinc_system.h"
+#include "src/display/window_server.h"
 #include "src/util/logging.h"
 #include "src/util/prng.h"
 #include "src/util/region.h"
@@ -106,6 +107,40 @@ void BM_LzssDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes.size());
 }
 BENCHMARK(BM_LzssDecode);
+
+// The top 1024x256 strip of web page 1 as the window server renders it:
+// what RDP and ICA compress on the web path (they ship each page in three
+// such strips). About half its bytes are runs of the flat page background.
+std::vector<uint8_t> WebPageStrip() {
+  WindowServer ws(1024, 768, nullptr, nullptr);
+  WebWorkload(1024, 768).RenderPage(&ws, 1, nullptr);
+  std::vector<Pixel> px = ws.screen().GetPixels(Rect{0, 0, 1024, 256});
+  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(px.data());
+  return std::vector<uint8_t>(bytes, bytes + px.size() * sizeof(Pixel));
+}
+
+void BM_LzssEncodePageStrip(benchmark::State& state) {
+  std::vector<uint8_t> bytes = WebPageStrip();
+  for (auto _ : state) {
+    std::vector<uint8_t> enc = LzssEncode(bytes);
+    benchmark::DoNotOptimize(enc.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes.size());
+}
+BENCHMARK(BM_LzssEncodePageStrip);
+
+void BM_LzssDecodePageStrip(benchmark::State& state) {
+  std::vector<uint8_t> bytes = WebPageStrip();
+  std::vector<uint8_t> enc = LzssEncode(bytes);
+  for (auto _ : state) {
+    std::vector<uint8_t> dec;
+    bool ok = LzssDecode(enc, &dec);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(dec.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes.size());
+}
+BENCHMARK(BM_LzssDecodePageStrip);
 
 void BM_PngLikeEncode(benchmark::State& state) {
   std::vector<Pixel> px = ScreenLikePixels(256, 256);
