@@ -9,12 +9,16 @@
 // and last-delivery time into one digest, and pins it together with the
 // RAW encode charges and the number of fired events. The values were
 // recorded from the simulator before host-side payload sharing existed:
-// sharing may change host time and memory, never these.
+// sharing may change host time and memory, never these. The fleet scenario
+// also pins the registry values perfbench reads, since perfbench prints 0
+// for a metric name that nothing registers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -115,16 +119,37 @@ TEST(RepeatedContentGolden, FleetOfSixteenOnOneNic) {
              return level;
            },
            &max_level);
-  const int64_t delta_attempts0 =
-      CounterValue("codec.delta_hits") + CounterValue("codec.delta_fallbacks");
+  MetricsRegistry::Get().ResetAll();
   BufferStats::Get().Reset();
   loop.Run();
 
   // The scenario must reach the rungs that rewrite payloads after insert.
   EXPECT_GE(max_level, 3) << "fidelity subsampling never engaged";
-  EXPECT_GT(CounterValue("codec.delta_hits") + CounterValue("codec.delta_fallbacks"),
-            delta_attempts0)
+  EXPECT_GT(CounterValue("codec.delta_hits") + CounterValue("codec.delta_fallbacks"), 0)
       << "no delta attempt ran";
+  // The registry names perfbench reports, read as perfbench reads them
+  // (through Snapshot()); perfbench prints 0 for a name nothing registered.
+  const std::map<std::string, double> want_metrics = {
+      {"net.segments", 390},
+      {"net.delivered_bytes", 548987},
+      {"net.nic.parks", 389},
+      {"sched.inserted", 928},
+      {"queue.evicted_commands", 181},
+      {"fleet.controller_ticks", 40},
+      {"fleet.degradations", 64},
+      {"codec.delta_hits", 0},
+      {"codec.delta_fallbacks", 13},
+      {"fleet.degrade_level.max", 4},
+      {"net.nic.wait_us.count", 389},
+      {"net.nic.wait_us.p95", 198560},
+  };
+  std::map<std::string, double> got_metrics;
+  for (const MetricsRegistry::Sample& s : MetricsRegistry::Get().Snapshot()) {
+    if (want_metrics.contains(s.name)) {
+      got_metrics[s.name] = s.value;
+    }
+  }
+  EXPECT_EQ(got_metrics, want_metrics);
   Pinned got;
   Digest digest;
   for (size_t i = 0; i < fleet.session_count(); ++i) {
