@@ -1,25 +1,11 @@
 #include "src/adapt/net_estimator.h"
 
-#include "src/telemetry/metrics.h"
-
 namespace thinc {
 namespace {
 
 // Only near-MSS segments qualify for packet-pair gap samples: small tail
 // segments have disproportionate per-segment rounding in their tx time.
 constexpr int64_t kMinSampleBytes = 1400;
-
-void PublishBandwidth(int64_t bps) {
-  static Gauge* gauge =
-      MetricsRegistry::Get().GetGauge("net.estimated_bandwidth_bps");
-  gauge->Set(bps);
-}
-
-void PublishRtt(SimTime rtt) {
-  static Gauge* gauge =
-      MetricsRegistry::Get().GetGauge("net.estimated_rtt_us");
-  gauge->Set(rtt);
-}
 
 }  // namespace
 
@@ -44,7 +30,6 @@ void NetEstimator::OnDelivery(int from, SimTime now, size_t bytes) {
     if (min_gap_ == 0 || gap < min_gap_) {
       min_gap_ = gap;
       gap_bytes_ = n;
-      PublishBandwidth(BandwidthBps());
     }
   }
   prev_time_ = now;
@@ -63,7 +48,6 @@ void NetEstimator::OnRttSample(int from, SimTime rtt) {
     return;
   }
   rtt_ = rtt;
-  PublishRtt(rtt_);
 }
 
 void NetEstimator::OnLinkChange() { Invalidate(); }

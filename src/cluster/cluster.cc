@@ -5,7 +5,6 @@
 #include <string>
 #include <tuple>
 
-#include "src/telemetry/metrics.h"
 #include "src/util/logging.h"
 
 namespace thinc {
@@ -52,8 +51,6 @@ ClusterController::ClusterController(EventLoop* loop, ClusterOptions options)
         "cluster-h" + std::to_string(h) + "-session-";
     hosts_.push_back(std::make_unique<FleetHost>(loop, host_options));
   }
-  static Gauge* hosts_g = MetricsRegistry::Get().GetGauge("cluster.hosts");
-  hosts_g->Set(static_cast<int64_t>(hosts_.size()));
 }
 
 double ClusterController::HostLoadFraction(size_t h) const {
@@ -107,11 +104,6 @@ int64_t ClusterController::Admit(size_t h, const FleetSessionDemand& demand,
   ref.last_migration = loop_->now();
   const int64_t gid = static_cast<int64_t>(table_.size());
   table_.push_back(std::move(ref));
-  static Counter* admitted =
-      MetricsRegistry::Get().GetCounter("cluster.admitted");
-  static Gauge* sessions = MetricsRegistry::Get().GetGauge("cluster.sessions");
-  admitted->Inc();
-  sessions->Set(static_cast<int64_t>(table_.size()));
   return gid;
 }
 
@@ -130,8 +122,6 @@ int64_t ClusterController::AddSession(const FleetSessionDemand& demand,
   std::optional<size_t> h = PickHost(demand);
   if (!h.has_value()) {
     ++parked_;
-    static Counter* parked = MetricsRegistry::Get().GetCounter("cluster.parked");
-    parked->Inc();
     return -1;
   }
   return Admit(*h, demand, weight, home_host, /*local=*/false, profile);
@@ -170,9 +160,6 @@ std::vector<int64_t> ClusterController::PlaceBatch(
     }
     if (gids[i] < 0) {
       ++parked_;
-      static Counter* parked =
-          MetricsRegistry::Get().GetCounter("cluster.parked");
-      parked->Inc();
     }
   }
   return gids;
@@ -235,22 +222,13 @@ void ClusterController::StartController(SimTime until) {
 void ClusterController::Tick(SimTime until) {
   const SimTime now = loop_->now();
   std::vector<FleetHost::OverloadSignals> sigs(hosts_.size());
-  int hot_hosts = 0;
   for (size_t h = 0; h < hosts_.size(); ++h) {
     sigs[h] = hosts_[h]->ComputeOverloadSignals();
     const bool hot =
         std::max(sigs[h].cpu_lag_us, sigs[h].nic_demand_lag_us) >
         options_.host.overload_lag;
     hot_ticks_[h] = hot ? hot_ticks_[h] + 1 : 0;
-    hot_hosts += hot ? 1 : 0;
   }
-  static Counter* ticks =
-      MetricsRegistry::Get().GetCounter("cluster.controller_ticks");
-  static Gauge* hot_g = MetricsRegistry::Get().GetGauge("cluster.hot_hosts");
-  static Gauge* inflight_g = MetricsRegistry::Get().GetGauge("cluster.inflight");
-  ticks->Inc();
-  hot_g->Set(hot_hosts);
-  inflight_g->Set(inflight_);
   if (options_.migration_enabled &&
       inflight_ < kMaxInflightMigrations) {
     TryMigrate(sigs);
@@ -358,12 +336,6 @@ void ClusterController::StartMigration(int64_t gid, size_t from, size_t to) {
   record_transports_.push_back(nullptr);
   ++inflight_;
   ++migrations_started_;
-  static Counter* started =
-      MetricsRegistry::Get().GetCounter("cluster.migrations_started");
-  static Histogram* state_h = MetricsRegistry::Get().GetHistogram(
-      "cluster.migration_state_bytes", Histogram::ExponentialBounds(1024, 2, 16));
-  started->Inc();
-  state_h->Observe(static_cast<int64_t>(state_bytes));
   // The state ships over the interconnect; the session resumes when the
   // last byte lands on the destination.
   const SimTime transfer =
@@ -398,15 +370,9 @@ void ClusterController::CompleteMigration(int64_t gid, size_t dest) {
   ref.record_index = -1;
   --inflight_;
   ++migrations_completed_;
-  static Counter* completed =
-      MetricsRegistry::Get().GetCounter("cluster.migrations_completed");
-  completed->Inc();
 }
 
 void ClusterController::FinalizeBlackouts() {
-  static Histogram* blackout_h = MetricsRegistry::Get().GetHistogram(
-      "cluster.migration_blackout_us",
-      Histogram::ExponentialBounds(1000, 2, 20));
   for (size_t i = 0; i < records_.size(); ++i) {
     MigrationRecord& rec = records_[i];
     if (rec.resume == 0 || rec.blackout_end != 0) {
@@ -422,7 +388,6 @@ void ClusterController::FinalizeBlackouts() {
         }
       }
     }
-    blackout_h->Observe(rec.blackout_end - rec.start);
   }
 }
 

@@ -262,8 +262,6 @@ std::unique_ptr<Command> UpdateScheduler::PopNext(SimTime now) {
         }
       }
       if (!unsafe) {
-        static Counter* aged = MetricsRegistry::Get().GetCounter("sched.aged");
-        aged->Inc();
         std::unique_ptr<Command> cmd = std::move(bands_[aged_band].front());
         bands_[aged_band].pop_front();
         --count_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/telemetry/metrics.h"
 #include "src/util/logging.h"
 
 namespace thinc {
@@ -189,8 +188,6 @@ SharedSessionHost::Viewer* SharedSessionHost::AddSession(
   broadcast_.AddSink(viewer->server());
   // Late joiners catch up with the session's current contents.
   viewer->server()->SendFullRefresh();
-  static Gauge* viewers = MetricsRegistry::Get().GetGauge("share.viewers");
-  viewers->Set(static_cast<int64_t>(viewers_.size()));
   return viewer;
 }
 
@@ -204,8 +201,6 @@ void SharedSessionHost::RemoveViewer(Viewer* viewer) {
   THINC_CHECK(it != viewers_.end());
   removed_.push_back(std::move(*it));
   viewers_.erase(it);
-  MetricsRegistry::Get().GetGauge("share.viewers")->Set(
-      static_cast<int64_t>(viewers_.size()));
 }
 
 void SharedSessionHost::SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) {

@@ -695,11 +695,6 @@ void ThincServer::StartEncode(SimTime now) {
           : 1;
   f.encode_start = now;
   if (slices > 1) {
-    static Counter* sliced = MetricsRegistry::Get().GetCounter("cpu.sliced_encodes");
-    static Counter* slice_count =
-        MetricsRegistry::Get().GetCounter("cpu.encode_slices");
-    sliced->Inc();
-    slice_count->Inc(slices);
     f.ready = cpu_->ChargeParallel(cost_us, slices);
   } else {
     f.ready = cpu_->Charge(cost_us);
@@ -779,19 +774,12 @@ void ThincServer::Flush() {
         if (options_.shared_frame_cache != nullptr &&
             f.cmd->type() == MsgType::kRaw) {
           f.cache_key = static_cast<RawCommand*>(f.cmd.get())->SharedContentKey();
-          static Counter* lookups =
-              MetricsRegistry::Get().GetCounter("share.lookups");
-          static Counter* hits = MetricsRegistry::Get().GetCounter("share.hits");
-          static Counter* waits = MetricsRegistry::Get().GetCounter("share.waits");
-          lookups->Inc();
           if (PickUpSharedFrame(now)) {
-            hits->Inc();
             continue;
           }
           const int64_t other_ready =
               options_.shared_frame_cache->PendingEncodeReady(f.cache_key);
           if (other_ready >= now) {
-            waits->Inc();
             f.ready = other_ready;
             f.prepared = true;
             f.shared_wait = true;
@@ -829,8 +817,6 @@ void ThincServer::Flush() {
                                      cache_hit);
       }
       if (!f.cache_key.empty()) {
-        static Counter* stores = MetricsRegistry::Get().GetCounter("share.stores");
-        stores->Inc();
         options_.shared_frame_cache->Store(f.cache_key, frame.Share());
       }
       std::unique_ptr<Command> cmd = std::move(f.cmd);

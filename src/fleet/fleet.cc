@@ -86,14 +86,9 @@ FleetHost::Admission FleetHost::AddSession(const FleetSessionDemand& demand,
   if (!FitsHeadroom(demand, local)) {
     if (options_.park_beyond_capacity) {
       ++parked_;
-      static Counter* parked = MetricsRegistry::Get().GetCounter("fleet.parked");
-      parked->Inc();
       return Admission::kParked;
     }
     ++rejected_;
-    static Counter* rejected =
-        MetricsRegistry::Get().GetCounter("fleet.rejected");
-    rejected->Inc();
     return Admission::kRejected;
   }
 
@@ -107,31 +102,9 @@ FleetHost::Admission FleetHost::AddSession(const FleetSessionDemand& demand,
   s->demand = demand;
   s->profile = profile;
   s->prng = Prng(s->seed);
-  const ThincSessionOptions session_options = SessionOptions(*s, weight, local);
   s->session = std::make_unique<ThincSession>(loop_, &host_cpu_, &payloads_,
-                                              session_options);
+                                              SessionOptions(*s, weight, local));
   Install(std::move(s));
-  static Counter* admitted = MetricsRegistry::Get().GetCounter("fleet.admitted");
-  static Gauge* locals = MetricsRegistry::Get().GetGauge("fleet.local_sessions");
-  admitted->Inc();
-  locals->Set(static_cast<int64_t>(local_count_));
-  // Device-matrix accounting: which classes this host serves and how many
-  // of them needed viewport/loss-path treatment (per-class names are few,
-  // so the registry lookup per admission is fine).
-  MetricsRegistry::Get()
-      .GetCounter(std::string("device.admitted.") +
-                  DeviceClassName(profile.klass))
-      ->Inc();
-  if (session_options.viewport.has_value()) {
-    static Counter* viewports =
-        MetricsRegistry::Get().GetCounter("device.viewport_negotiations");
-    viewports->Inc();
-  }
-  if (profile.lossy) {
-    static Counter* lossy_paths =
-        MetricsRegistry::Get().GetCounter("device.lossy_paths");
-    lossy_paths->Inc();
-  }
   return Admission::kAdmitted;
 }
 
@@ -179,8 +152,6 @@ void FleetHost::Install(std::unique_ptr<FleetSession> s) {
   }
   ++live_sessions_;
   sessions_.push_back(std::move(s));
-  static Gauge* count = MetricsRegistry::Get().GetGauge("fleet.sessions");
-  count->Set(static_cast<int64_t>(live_sessions_));
 }
 
 std::unique_ptr<FleetSession> FleetHost::ExtractSession(size_t id) {
@@ -197,8 +168,6 @@ std::unique_ptr<FleetSession> FleetHost::ExtractSession(size_t id) {
     admitted_nic_bytes_per_sec_ -= s->demand.nic_bytes_per_sec;
   }
   --live_sessions_;
-  static Counter* out = MetricsRegistry::Get().GetCounter("fleet.migrated_out");
-  out->Inc();
   return s;
 }
 
@@ -221,8 +190,6 @@ std::optional<size_t> FleetHost::InsertSession(
   s->session->Rebind(SessionOptions(*s, weight, local).transport,
                      /*differential_resync=*/true);
   Install(std::move(*session));
-  static Counter* in = MetricsRegistry::Get().GetCounter("fleet.migrated_in");
-  in->Inc();
   return id;
 }
 
@@ -283,39 +250,9 @@ void FleetHost::ControllerTick(SimTime until) {
   const SimTime nic_lag = sig.nic_lag_us;
   const SimTime nic_demand_lag = sig.nic_demand_lag_us;
   static Counter* ticks = MetricsRegistry::Get().GetCounter("fleet.controller_ticks");
-  static Gauge* cpu_lag_g = MetricsRegistry::Get().GetGauge("fleet.cpu_lag_us");
-  static Gauge* nic_lag_g = MetricsRegistry::Get().GetGauge("fleet.nic_lag_us");
-  static Gauge* demand_g =
-      MetricsRegistry::Get().GetGauge("fleet.nic_demand_lag_us");
   static Gauge* level_g = MetricsRegistry::Get().GetGauge("fleet.degrade_level");
   static Counter* downs = MetricsRegistry::Get().GetCounter("fleet.degradations");
-  static Counter* ups = MetricsRegistry::Get().GetCounter("fleet.restores");
-  // cpu.* — the shared host CPU seen as a multi-core account; sim.* — event
-  // loop health (queue depth, churn), cheap to read here since the
-  // controller already samples every resource each tick.
-  static Gauge* cpu_cores_g = MetricsRegistry::Get().GetGauge("cpu.cores");
-  static Gauge* cpu_max_lag_g =
-      MetricsRegistry::Get().GetGauge("cpu.max_core_lag_us");
-  static Gauge* cpu_min_lag_g =
-      MetricsRegistry::Get().GetGauge("cpu.earliest_free_lag_us");
-  static Gauge* cpu_busy_g =
-      MetricsRegistry::Get().GetGauge("cpu.total_busy_us");
-  static Gauge* sim_pending_g =
-      MetricsRegistry::Get().GetGauge("sim.pending_events");
-  static Gauge* sim_fired_g = MetricsRegistry::Get().GetGauge("sim.fired_events");
-  static Gauge* sim_cancelled_g =
-      MetricsRegistry::Get().GetGauge("sim.cancelled_events");
   ticks->Inc();
-  cpu_lag_g->Set(cpu_lag);
-  nic_lag_g->Set(nic_lag);
-  demand_g->Set(nic_demand_lag);
-  cpu_cores_g->Set(host_cpu_.cores());
-  cpu_max_lag_g->Set(cpu_lag);
-  cpu_min_lag_g->Set(std::max<SimTime>(0, host_cpu_.earliest_free() - now));
-  cpu_busy_g->Set(host_cpu_.total_busy());
-  sim_pending_g->Set(static_cast<int64_t>(loop_->pending_count()));
-  sim_fired_g->Set(static_cast<int64_t>(loop_->fired_count()));
-  sim_cancelled_g->Set(static_cast<int64_t>(loop_->cancelled_count()));
 
   if (options_.degradation_enabled) {
     // Degrade on host-wide pressure only: the shared CPU or NIC running
@@ -357,7 +294,6 @@ void FleetHost::ControllerTick(SimTime until) {
           const int level = server->degradation_level();
           if (level > 0) {
             server->SetDegradationLevel(level - 1);
-            ups->Inc();
           }
         }
       }

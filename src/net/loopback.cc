@@ -94,19 +94,13 @@ void LoopbackTransport::CompleteHandoff(int from, const ByteBuffer& payload) {
   THINC_CHECK(d.pending_bytes >= payload.size());
   d.pending_bytes -= payload.size();
   ++d.handoffs;
-  {
-    static Counter* handoffs =
-        MetricsRegistry::Get().GetCounter("transport.loopback.handoffs");
-    static Counter* bytes =
-        MetricsRegistry::Get().GetCounter("transport.loopback.handoff_bytes");
-    static Counter* payload_bytes =
-        MetricsRegistry::Get().GetCounter("transport.loopback.payload_bytes");
-    static Counter* control_bytes =
-        MetricsRegistry::Get().GetCounter("transport.loopback.control_bytes");
-    handoffs->Inc();
-    bytes->Inc(static_cast<int64_t>(payload.size()));
-    (from == kServer ? payload_bytes : control_bytes)
-        ->Inc(static_cast<int64_t>(payload.size()));
+  static Counter* handoffs =
+      MetricsRegistry::Get().GetCounter("transport.loopback.handoffs");
+  static Counter* payload_bytes =
+      MetricsRegistry::Get().GetCounter("transport.loopback.payload_bytes");
+  handoffs->Inc();
+  if (from == kServer) {
+    payload_bytes->Inc(static_cast<int64_t>(payload.size()));
   }
   Deliver(from, payload);
   // Budget was freed: mirror the wire's post-pump writable notification so

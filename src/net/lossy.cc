@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/telemetry/metrics.h"
 #include "src/util/logging.h"
 
 namespace thinc {
@@ -95,15 +94,6 @@ SimTime LossyTransport::PlanSegmentTrip(int from, SimTime depart, SimTime* ack,
   // segment's ack is late by the same RTOs, which is what throttles the
   // sender's window under loss.
   *ack = arrival + params().rtt / 2;
-
-  if (retransmits > 0) {
-    static Counter* lost =
-        MetricsRegistry::Get().GetCounter("net.lossy.retransmits");
-    lost->Inc(retransmits);
-  }
-  static Counter* sent =
-      MetricsRegistry::Get().GetCounter("net.lossy.segments");
-  sent->Inc();
   return arrival;
 }
 

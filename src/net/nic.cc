@@ -90,18 +90,11 @@ bool NicScheduler::TryReserve(int flow, int64_t seg_len, SimTime* depart) {
   free_at_ = *depart;
   f.granted_bytes += seg_len;
   total_granted_bytes_ += seg_len;
-  {
-    static Counter* segments =
-        MetricsRegistry::Get().GetCounter("net.nic.segments");
-    static Counter* bytes = MetricsRegistry::Get().GetCounter("net.nic.bytes");
-    segments->Inc();
-    bytes->Inc(seg_len);
-    if (f.parked_since >= 0) {
-      static Histogram* wait = MetricsRegistry::Get().GetHistogram(
-          "net.nic.wait_us", Histogram::ExponentialBounds(64, 4.0, 10));
-      wait->Observe(now - f.parked_since);
-      f.parked_since = -1;
-    }
+  if (f.parked_since >= 0) {
+    static Histogram* wait = MetricsRegistry::Get().GetHistogram(
+        "net.nic.wait_us", Histogram::ExponentialBounds(64, 4.0, 10));
+    wait->Observe(now - f.parked_since);
+    f.parked_since = -1;
   }
   f.parked = false;
   return true;

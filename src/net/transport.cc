@@ -104,17 +104,13 @@ void Transport::Reset() {
   }
   closed_ = true;
   ++epoch_;
-  {
-    static Counter* resets = MetricsRegistry::Get().GetCounter("net.resets");
-    resets->Inc();
-    Telemetry& telemetry = Telemetry::Get();
-    telemetry.Record("net.reset", loop_->now());
-    telemetry.Instant(0, 1, "connection reset", loop_->now());
-    if (telemetry.recorder_on()) {
-      // A reset is the robustness event the flight recorder exists for:
-      // dump the timeline leading up to it.
-      telemetry.DumpFlightRecorder(stderr, "connection reset");
-    }
+  Telemetry& telemetry = Telemetry::Get();
+  telemetry.Record("net.reset", loop_->now());
+  telemetry.Instant(0, 1, "connection reset", loop_->now());
+  if (telemetry.recorder_on()) {
+    // A reset is the robustness event the flight recorder exists for:
+    // dump the timeline leading up to it.
+    telemetry.DumpFlightRecorder(stderr, "connection reset");
   }
   frozen_.clear();
   OnReset();
@@ -152,11 +148,8 @@ void Transport::Deliver(int from, const ByteBuffer& payload) {
   static Counter* delivered =
       MetricsRegistry::Get().GetCounter("net.delivered_bytes");
   static Counter* segments = MetricsRegistry::Get().GetCounter("net.segments");
-  static Histogram* seg_bytes = MetricsRegistry::Get().GetHistogram(
-      "net.segment_bytes", Histogram::ExponentialBounds(64, 2.0, 6));
   delivered->Inc(static_cast<int64_t>(payload.size()));
   segments->Inc();
-  seg_bytes->Observe(static_cast<int64_t>(payload.size()));
   if (receive_buffer_fns_[from]) {
     receive_buffer_fns_[from](payload);
   } else if (receive_fns_[from]) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/buffer.h"
 #include "src/util/logging.h"
 
 namespace thinc {
@@ -92,26 +91,6 @@ MetricsRegistry& MetricsRegistry::Get() {
   return *registry;
 }
 
-MetricsRegistry::MetricsRegistry() {
-  // Adopt the zero-copy buffer counters: BufferStats lives in util (below
-  // this library), so the registry reads through rather than owning them.
-  BufferStats& b = BufferStats::Get();
-  RegisterExternal("buffer.allocations", &b.allocations);
-  RegisterExternal("buffer.allocated_bytes", &b.allocated_bytes);
-  RegisterExternal("buffer.copies", &b.copies);
-  RegisterExternal("buffer.copied_bytes", &b.copied_bytes);
-  RegisterExternal("buffer.shares", &b.shares);
-  RegisterExternal("buffer.cow_detaches", &b.cow_detaches);
-  RegisterExternal("buffer.arena_reuses", &b.arena_reuses);
-  RegisterExternal("buffer.raw_encodes", &b.raw_encodes);
-  RegisterExternal("buffer.encode_charges", &b.encode_charges);
-  RegisterExternal("buffer.payload_encode_hits", &b.payload_encode_hits);
-  RegisterExternal("buffer.payload_adoptions", &b.payload_adoptions);
-  RegisterExternal("buffer.frame_cache_hits", &b.frame_cache_hits);
-  RegisterExternal("buffer.live_payload_bytes", &b.live_payload_bytes);
-  RegisterExternal("buffer.peak_payload_bytes", &b.peak_payload_bytes);
-}
-
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   auto& slot = counters_[name];
   if (slot == nullptr) {
@@ -135,11 +114,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
     slot = std::make_unique<Histogram>(std::move(upper_bounds));
   }
   return slot.get();
-}
-
-void MetricsRegistry::RegisterExternal(const std::string& name,
-                                       const int64_t* source) {
-  external_[name] = source;
 }
 
 void MetricsRegistry::ResetAll() {
@@ -170,9 +144,6 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::Snapshot() const {
     out.push_back(Sample{name + ".p95", h->Percentile(95)});
     out.push_back(Sample{name + ".p99", h->Percentile(99)});
     out.push_back(Sample{name + ".max", static_cast<double>(h->max())});
-  }
-  for (const auto& [name, src] : external_) {
-    out.push_back(Sample{name, static_cast<double>(*src)});
   }
   std::sort(out.begin(), out.end(),
             [](const Sample& a, const Sample& b) { return a.name < b.name; });

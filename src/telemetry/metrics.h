@@ -8,9 +8,9 @@
 // flight recorder (the opt-in half) live in telemetry.h.
 //
 // Naming scheme (see DESIGN.md §10): dot-separated `<subsystem>.<metric>`,
-// lower_snake case, e.g. `net.delivered_bytes`, `sched.evicted_commands`,
-// `buffer.copies`. Histograms export derived samples with a suffixed name
-// (`net.segment_bytes.p95`).
+// lower_snake case, e.g. `net.delivered_bytes`, `queue.evicted_commands`,
+// `codec.delta_hits`. Histograms export derived samples with a suffixed name
+// (`net.nic.wait_us.p95`).
 #ifndef THINC_SRC_TELEMETRY_METRICS_H_
 #define THINC_SRC_TELEMETRY_METRICS_H_
 
@@ -107,11 +107,6 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name,
                           std::vector<int64_t> upper_bounds);
 
-  // Read-through metric owned elsewhere (the BufferStats fields register
-  // this way: util cannot depend on telemetry, so telemetry adopts them).
-  // ResetAll() leaves externals to their owners.
-  void RegisterExternal(const std::string& name, const int64_t* source);
-
   // Zeroes every owned counter/gauge/histogram (phase boundary).
   void ResetAll();
 
@@ -124,12 +119,11 @@ class MetricsRegistry {
   std::vector<Sample> Snapshot() const;
 
  private:
-  MetricsRegistry();
+  MetricsRegistry() = default;
 
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, const int64_t*> external_;
 };
 
 }  // namespace thinc
