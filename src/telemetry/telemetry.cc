@@ -80,16 +80,6 @@ TelemetryScope::~TelemetryScope() {
   g_check_failure_hook = previous_hook_;
 }
 
-int Telemetry::RegisterHost(const std::string& name) {
-  for (size_t i = 0; i < hosts_.size(); ++i) {
-    if (hosts_[i] == name) {
-      return static_cast<int>(i) + 1;
-    }
-  }
-  hosts_.push_back(name);
-  return static_cast<int>(hosts_.size());
-}
-
 int Telemetry::RegisterHostAuto(const std::string& prefix) {
   hosts_.push_back(prefix + "#" + std::to_string(hosts_.size() + 1));
   return static_cast<int>(hosts_.size());
@@ -281,55 +271,11 @@ size_t Telemetry::WireChannelDepth(const void* channel) const {
   return it == wire_channels_.end() ? 0 : it->second.size();
 }
 
-// --- Generic spans/instants --------------------------------------------------
+// --- Instants ----------------------------------------------------------------
 
 void Telemetry::PushEvent(TraceEvent e) {
   e.order = next_order_++;
   events_.push_back(std::move(e));
-}
-
-void Telemetry::BeginSpan(int pid, int tid, const std::string& name, SimTime ts) {
-  if (!config_.chrome_trace) {
-    return;
-  }
-  open_spans_[{pid, tid}].push_back(name);
-  TraceEvent e;
-  e.ph = 'B';
-  e.name = name;
-  e.pid = pid;
-  e.tid = tid;
-  e.ts = ts;
-  e.seq = EventLoop::current_seq();
-  PushEvent(std::move(e));
-}
-
-void Telemetry::EndSpan(int pid, int tid, SimTime ts) {
-  if (!config_.chrome_trace) {
-    return;
-  }
-  auto it = open_spans_.find({pid, tid});
-  if (it == open_spans_.end() || it->second.empty()) {
-    // Unbalanced End: count it rather than corrupting the trace with an E
-    // that has no matching B.
-    static Counter* underflows =
-        MetricsRegistry::Get().GetCounter("telemetry.span_underflows");
-    underflows->Inc();
-    return;
-  }
-  TraceEvent e;
-  e.ph = 'E';
-  e.name = it->second.back();
-  e.pid = pid;
-  e.tid = tid;
-  e.ts = ts;
-  e.seq = EventLoop::current_seq();
-  it->second.pop_back();
-  PushEvent(std::move(e));
-}
-
-size_t Telemetry::OpenSpanDepth(int pid, int tid) const {
-  auto it = open_spans_.find({pid, tid});
-  return it == open_spans_.end() ? 0 : it->second.size();
 }
 
 void Telemetry::Instant(int pid, int tid, const std::string& name, SimTime ts) {
@@ -409,8 +355,8 @@ void Telemetry::DumpFlightRecorder(std::FILE* out, const char* reason) const {
 
 std::string Telemetry::ExportChromeTrace() const {
   // Stable order: (ts, event-loop seq, insertion order). Sorting globally by
-  // timestamp makes ts monotone non-decreasing per tid, which Perfetto's
-  // importer expects for B/E pairs.
+  // timestamp makes ts non-decreasing on every (pid, tid) track, whatever
+  // order the stages were stamped in.
   std::vector<const TraceEvent*> sorted;
   sorted.reserve(events_.size());
   for (const TraceEvent& e : events_) {
