@@ -102,7 +102,7 @@ class WireWriter {
 
 // Bounds-checked reader. All accessors return false (or nullopt) instead of
 // reading past the end, so a malformed or truncated frame can never crash
-// the client — fuzz tests in tests/protocol_test.cc rely on this.
+// the client — fuzz tests in tests/wire_test.cc rely on this.
 class WireReader {
  public:
   explicit WireReader(std::span<const uint8_t> data) : data_(data) {}
