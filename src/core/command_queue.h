@@ -61,7 +61,6 @@ class CommandQueue {
   size_t TotalBytes() const;
 
   const std::deque<std::unique_ptr<Command>>& commands() const { return commands_; }
-  std::deque<std::unique_ptr<Command>> TakeAll() { return std::move(commands_); }
 
   // Shared eviction pass: clips/evicts commands in `queue` overwritten by an
   // incoming opaque command with destination `incoming`. Used both here and

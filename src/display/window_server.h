@@ -43,7 +43,6 @@ class WindowServer : public DrawingApi {
   // --- Drawables ------------------------------------------------------------
   DrawableId CreatePixmap(int32_t width, int32_t height) override;
   void FreePixmap(DrawableId id) override;
-  bool IsScreen(DrawableId id) const { return id == kScreenDrawable; }
   const Surface& SurfaceOf(DrawableId id) const;
   const Surface& screen() const { return SurfaceOf(kScreenDrawable); }
   size_t pixmap_count() const { return drawables_.size() - 1; }
