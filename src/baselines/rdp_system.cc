@@ -13,6 +13,10 @@ namespace {
 // complex set of display primitives").
 constexpr double kOrderCost = 4.0;
 
+// Relative cost of ICA's image processing: MetaFrame's richer pipeline
+// costs more per update than RDP's.
+constexpr double kIcaProcessingScale = 1.6;
+
 uint64_t HashPixels(const Rect& rect, std::span<const Pixel> pixels) {
   uint64_t h = 0xCBF29CE484222325ULL;
   auto mix = [&h](uint64_t v) {
@@ -43,24 +47,12 @@ bool DecodeImage(std::span<const uint8_t> encoded, const Rect& rect,
 
 }  // namespace
 
-RdpOptions MakeRdpOptions(bool wan_profile) {
-  RdpOptions o;
-  o.aggressive = wan_profile;
-  return o;
-}
-
-RdpOptions MakeIcaOptions(bool wan_profile) {
-  RdpOptions o;
-  o.ica_client_resize = true;
-  o.aggressive = wan_profile;
-  o.processing_scale = 1.6;
-  return o;
-}
-
 RdpSystem::RdpSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
-                     int32_t screen_height, RdpOptions options)
+                     int32_t screen_height, SystemKind kind, bool wan_profile)
     : WireBaseline(loop, link, screen_width, screen_height, kInput),
-      options_(std::move(options)), client_fb_(screen_width, screen_height, kBlack) {
+      ica_(kind == SystemKind::kIca), wan_profile_(wan_profile),
+      client_fb_(screen_width, screen_height, kBlack) {
+  THINC_CHECK(kind == SystemKind::kRdp || kind == SystemKind::kIca);
   server_ws_ = std::make_unique<WindowServer>(
       screen_width, screen_height, static_cast<DisplayDriver*>(this), &server_cpu_);
   Connect();
@@ -175,10 +167,12 @@ void RdpSystem::SendImage(const Rect& rect, std::span<const Pixel> pixels,
   std::span<const uint8_t> raw(reinterpret_cast<const uint8_t*>(pixels.data()),
                                pixels.size() * sizeof(Pixel));
   double cost = kOrderCost + cpucost::kLzssPerByte * static_cast<double>(raw.size());
-  if (options_.aggressive) {
+  if (wan_profile_) {
     cost *= 1.5;  // tighter search in the WAN profile
   }
-  cost *= options_.processing_scale;
+  if (ica_) {
+    cost *= kIcaProcessingScale;
+  }
   // Video frames are keyed by geometry: while the previous frame at this
   // rect waits untransmitted, the new one is dropped (SendQueue). A dropped
   // frame still costs its compression, but is neither encoded nor cached.
@@ -214,7 +208,7 @@ void RdpSystem::SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) {
 
 void RdpSystem::ApplyImage(const Rect& rect, std::span<const Pixel> pixels) {
   if (viewport_.has_value()) {
-    if (options_.ica_client_resize) {
+    if (ica_) {
       // ICA: resample full-size data on the (slow) client.
       ResampleOnto(&client_fb_, rect, pixels);
     } else {
@@ -246,14 +240,14 @@ void RdpSystem::OnClientFrame(uint8_t type, std::span<const uint8_t> payload) {
       Region region;
       uint32_t color;
       if (r.RegionVal(&region) && r.U32(&color)) {
-        if (viewport_.has_value() && !options_.ica_client_resize) {
+        if (viewport_.has_value() && !ica_) {
           region = region.Intersect(*viewport_);
         }
         // Under ICA resize, fills keep coordinates; approximate by scaling
         // their bounds through the image path for simplicity: fills are
         // cheap either way, so apply full-size semantics only when
         // unscaled.
-        if (!viewport_.has_value() || !options_.ica_client_resize) {
+        if (!viewport_.has_value() || !ica_) {
           client_fb_.FillRegion(region, color);
         } else {
           client_fb_.FillRect(ScaleOnto(client_fb_, region.Bounds()), color);
@@ -273,7 +267,7 @@ void RdpSystem::OnClientFrame(uint8_t type, std::span<const uint8_t> payload) {
           std::memcpy(px.data(), bytes.data(), bytes.size());
           tile.PutPixels(Rect{0, 0, tw, th}, px);
           if (viewport_.has_value()) {
-            if (options_.ica_client_resize) {
+            if (ica_) {
               break;  // ICA small-screen: folded into resampled image traffic
             }
             region = region.Intersect(*viewport_);
@@ -292,7 +286,7 @@ void RdpSystem::OnClientFrame(uint8_t type, std::span<const uint8_t> payload) {
       if (r.RegionVal(&region) && r.PointVal(&origin) && r.U32(&fg) && r.U32(&bg) &&
           r.U8(&transparent) && r.BitmapVal(&stipple)) {
         if (viewport_.has_value()) {
-          if (options_.ica_client_resize) {
+          if (ica_) {
             break;  // ICA small-screen: folded into resampled image traffic
           }
           region = region.Intersect(*viewport_);

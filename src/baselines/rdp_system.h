@@ -28,26 +28,13 @@
 
 namespace thinc {
 
-struct RdpOptions {
-  // ICA mode: client-side resize on PDA (RDP clips instead).
-  bool ica_client_resize = false;
-  // WAN profile: LZSS the order stream harder.
-  bool aggressive = false;
-  // Relative cost of image/order processing (MetaFrame's richer pipeline
-  // costs more per update than RDP's).
-  double processing_scale = 1.0;
-};
-
-RdpOptions MakeRdpOptions(bool wan_profile);
-RdpOptions MakeIcaOptions(bool wan_profile);
-
 class RdpSystem : public WireBaseline, private DisplayDriver {
  public:
+  // `kind` is kRdp or kIca. Both WAN profiles LZSS images harder.
   RdpSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
-            int32_t screen_height, RdpOptions options = {});
+            int32_t screen_height, SystemKind kind, bool wan_profile = false);
 
   void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) override;
-  bool SupportsViewport() const override { return true; }
   void SetViewport(int32_t width, int32_t height) override;
   const Surface* ClientFramebuffer() const override { return &client_fb_; }
 
@@ -80,7 +67,10 @@ class RdpSystem : public WireBaseline, private DisplayDriver {
   void OnClientFrame(uint8_t type, std::span<const uint8_t> payload) override;
   void ApplyImage(const Rect& rect, std::span<const Pixel> pixels);
 
-  RdpOptions options_;
+  // ICA: a costlier image pipeline than RDP's, and a small viewport
+  // resized on the client (RDP clips instead).
+  const bool ica_;
+  const bool wan_profile_;
   Surface client_fb_;
   std::optional<Rect> viewport_;
 

@@ -1,30 +1,29 @@
 #include "src/baselines/scrape_system.h"
 
+#include <algorithm>
+
 #include "src/codec/hextile.h"
 #include "src/codec/lzss.h"
 #include "src/codec/palette.h"
+#include "src/util/logging.h"
 
 namespace thinc {
+namespace {
 
-ScrapeOptions MakeVncOptions(bool aggressive) {
-  ScrapeOptions o;
-  o.aggressive = aggressive;
-  return o;
-}
+// GoToMyPC's smallest supported client geometry.
+constexpr int32_t kGotomypcMinWidth = 640;
+constexpr int32_t kGotomypcMinHeight = 480;
 
-ScrapeOptions MakeGotomypcOptions() {
-  ScrapeOptions o;
-  o.palette8 = true;
-  o.relay = true;
-  o.resize_on_client = true;
-  return o;
-}
+}  // namespace
 
 ScrapeSystem::ScrapeSystem(EventLoop* loop, const LinkParams& link,
                            int32_t screen_width, int32_t screen_height,
-                           ScrapeOptions options)
-    : WireBaseline(loop, link, screen_width, screen_height, kInput, options.relay),
-      options_(std::move(options)), client_fb_(screen_width, screen_height, kBlack) {
+                           SystemKind kind, bool wan_profile)
+    : WireBaseline(loop, link, screen_width, screen_height, kInput,
+                   /*relay=*/kind == SystemKind::kGotomypc),
+      gotomypc_(kind == SystemKind::kGotomypc), wan_profile_(wan_profile),
+      client_fb_(screen_width, screen_height, kBlack) {
+  THINC_CHECK(kind == SystemKind::kVnc || kind == SystemKind::kGotomypc);
   server_ws_ = std::make_unique<WindowServer>(
       screen_width, screen_height, static_cast<DisplayDriver*>(this), &server_cpu_);
   Connect();
@@ -33,6 +32,10 @@ ScrapeSystem::ScrapeSystem(EventLoop* loop, const LinkParams& link,
 }
 
 void ScrapeSystem::SetViewport(int32_t width, int32_t height) {
+  if (gotomypc_) {
+    width = std::max(width, kGotomypcMinWidth);
+    height = std::max(height, kGotomypcMinHeight);
+  }
   viewport_ = Rect{0, 0, width, height};
   client_fb_ = Surface(width, height, kBlack);
 }
@@ -62,7 +65,7 @@ void ScrapeSystem::EncodeAndSend() {
     return;
   }
   Region to_send = dirty_;
-  if (viewport_.has_value() && !options_.resize_on_client) {
+  if (viewport_.has_value() && !gotomypc_) {
     // Clip model: only the viewport window into the desktop is shipped.
     to_send = to_send.Intersect(*viewport_);
     dirty_ = dirty_.Subtract(*viewport_);
@@ -82,7 +85,7 @@ void ScrapeSystem::EncodeAndSend() {
     const double raw_bytes = static_cast<double>(pixels.size() * sizeof(Pixel));
     std::vector<uint8_t> encoded;
     uint8_t mode;
-    if (options_.palette8) {
+    if (gotomypc_) {
       // GoToMyPC: quantize to 8-bit, then compress hard.
       std::vector<uint8_t> indexed = PaletteQuantize(pixels);
       encoded = LzssEncode(indexed);
@@ -92,7 +95,7 @@ void ScrapeSystem::EncodeAndSend() {
       encoded = HextileEncode(pixels, r.width, r.height);
       cpu_cost += cpucost::kHextilePerByte * raw_bytes;
       mode = 0;
-      if (options_.aggressive) {
+      if (wan_profile_) {
         std::vector<uint8_t> packed = LzssEncode(encoded);
         cpu_cost += cpucost::kLzssPerByte * static_cast<double>(encoded.size());
         if (packed.size() < encoded.size()) {
@@ -163,7 +166,7 @@ void ScrapeSystem::HandleUpdate(std::span<const uint8_t> payload) {
     }
     client_cpu_.Charge(cpucost::kDecodePerByte * static_cast<double>(len) * 2);
 
-    if (viewport_.has_value() && options_.resize_on_client) {
+    if (viewport_.has_value() && gotomypc_) {
       // GoToMyPC PDA: full-resolution data arrives; the *client* resamples —
       // latency up, bandwidth unchanged (Section 8.3).
       ResampleOnto(&client_fb_, rect, pixels);
@@ -173,7 +176,7 @@ void ScrapeSystem::HandleUpdate(std::span<const uint8_t> payload) {
     covered = covered.Union(rect);
   }
   // The clip model shows (and probes) only the viewport window.
-  UpdateDisplayed(covered, options_.resize_on_client ? std::nullopt : viewport_);
+  UpdateDisplayed(covered, gotomypc_ ? std::nullopt : viewport_);
 }
 
 }  // namespace thinc

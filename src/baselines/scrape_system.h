@@ -22,24 +22,17 @@
 
 namespace thinc {
 
-struct ScrapeOptions {
-  bool palette8 = false;    // GoToMyPC: 8-bit 3-3-2 color, expensive encode
-  bool aggressive = false;  // VNC adaptive profile (hextile + LZSS)
-  bool relay = false;       // GoToMyPC intermediate server
-  // PDA mode: GoToMyPC resizes on the client; VNC clips the viewport.
-  bool resize_on_client = false;
-};
-
-ScrapeOptions MakeVncOptions(bool aggressive);
-ScrapeOptions MakeGotomypcOptions();
-
 class ScrapeSystem : public WireBaseline, private DisplayDriver {
  public:
+  // `kind` is kVnc or kGotomypc. VNC's WAN profile is its adaptive one
+  // (hextile plus LZSS); GoToMyPC has a single profile and ignores
+  // `wan_profile`.
   ScrapeSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
-               int32_t screen_height, ScrapeOptions options);
+               int32_t screen_height, SystemKind kind, bool wan_profile = false);
 
   bool SupportsAudio() const override { return false; }  // video-only systems
-  bool SupportsViewport() const override { return true; }
+  // VNC clips the desktop to the viewport. GoToMyPC resizes on the client
+  // and shows no less than 640x480, so it raises a smaller geometry to that.
   void SetViewport(int32_t width, int32_t height) override;
   const Surface* ClientFramebuffer() const override { return &client_fb_; }
 
@@ -77,7 +70,10 @@ class ScrapeSystem : public WireBaseline, private DisplayDriver {
   void OnClientFrame(uint8_t type, std::span<const uint8_t> payload) override;
   void HandleUpdate(std::span<const uint8_t> payload);
 
-  ScrapeOptions options_;
+  // GoToMyPC: 8-bit 3-3-2 color with an expensive encode, an intermediate
+  // relay host, and client-side resizing of a small viewport.
+  const bool gotomypc_;
+  const bool wan_profile_;  // VNC's adaptive profile
   Surface client_fb_;
 
   Region dirty_;

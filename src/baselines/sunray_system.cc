@@ -11,9 +11,9 @@ namespace thinc {
 
 SunRaySystem::SunRaySystem(EventLoop* loop, const LinkParams& link,
                            int32_t screen_width, int32_t screen_height,
-                           SunRayOptions options)
+                           bool wan_profile)
     : WireBaseline(loop, link, screen_width, screen_height, kInput),
-      options_(options), client_fb_(screen_width, screen_height, kBlack) {
+      wan_profile_(wan_profile), client_fb_(screen_width, screen_height, kBlack) {
   server_ws_ = std::make_unique<WindowServer>(
       screen_width, screen_height, static_cast<DisplayDriver*>(this), &server_cpu_);
   Connect();
@@ -88,9 +88,9 @@ void SunRaySystem::InferTile(const Rect& rect) {
     return;
   }
   if (distinct != 2) {
-    // A pixel update also pays for its encode: LZSS when aggressive, else RLE.
-    cost += (options_.aggressive_compression ? cpucost::kLzssPerByte
-                                             : cpucost::kRlePerByte) *
+    // A pixel update also pays for its encode: LZSS in the WAN profile,
+    // else RLE.
+    cost += (wan_profile_ ? cpucost::kLzssPerByte : cpucost::kRlePerByte) *
             raw_bytes;
   }
   // Bitmap and pixel updates are keyed by their rect: while the previous
@@ -125,7 +125,7 @@ void SunRaySystem::InferTile(const Rect& rect) {
                                pixels.size() * sizeof(Pixel));
   // Fast-link profile (mode 0): pixel-granular RLE, cheap and effective on
   // flat regions.
-  const uint8_t mode = options_.aggressive_compression ? 1 : 0;
+  const uint8_t mode = wan_profile_ ? 1 : 0;
   std::vector<uint8_t> encoded = mode == 1 ? LzssEncode(raw) : Rle32Encode(pixels);
   WireWriter w;
   w.RectVal(rect);

@@ -13,7 +13,7 @@
 //     Mozilla-style offscreen-composed pages arrive as raw pixels.
 //   * No transparent video support: frames reach the driver as software-
 //     converted RGB images and go down the inference path.
-//   * Adaptive compression: RLE on fast links, LZSS when aggressive.
+//   * Adaptive compression: RLE on fast links, LZSS in the WAN profile.
 //   * Server-push delivery; under pressure a fresh update is dropped while
 //     its predecessor at the same rect still waits untransmitted.
 #ifndef THINC_SRC_BASELINES_SUNRAY_SYSTEM_H_
@@ -23,14 +23,11 @@
 
 namespace thinc {
 
-struct SunRayOptions {
-  bool aggressive_compression = false;  // WAN adaptive profile
-};
-
 class SunRaySystem : public WireBaseline, private DisplayDriver {
  public:
+  // The WAN profile compresses pixel updates with LZSS instead of RLE.
   SunRaySystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
-               int32_t screen_height, SunRayOptions options = {});
+               int32_t screen_height, bool wan_profile = false);
 
   void SubmitAudio(std::span<const uint8_t> pcm, SimTime timestamp) override {
     SendPcm(kAudio, pcm, timestamp);
@@ -98,7 +95,7 @@ class SunRaySystem : public WireBaseline, private DisplayDriver {
   void InferTile(const Rect& tile);
   void OnClientFrame(uint8_t type, std::span<const uint8_t> payload) override;
 
-  SunRayOptions options_;
+  const bool wan_profile_;
   Surface client_fb_;
 };
 

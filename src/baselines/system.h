@@ -25,6 +25,21 @@ namespace thinc {
 inline constexpr double kServerCpuSpeed = 2.0;
 inline constexpr double kClientCpuSpeed = 1.0;
 
+// The systems under test. Each comparison model takes its kind and whether
+// the network calls for the product's WAN profile (Section 8.1), and
+// derives every product setting from those two facts.
+enum class SystemKind {
+  kThinc,
+  kX,
+  kNx,
+  kVnc,
+  kSunRay,
+  kRdp,
+  kIca,
+  kGotomypc,
+  kLocalPc,
+};
+
 class RemoteDisplaySystem {
  public:
   using InputFn = std::function<void(Point)>;
@@ -46,11 +61,10 @@ class RemoteDisplaySystem {
 
   // --- Capabilities ------------------------------------------------------------
   virtual bool SupportsAudio() const { return true; }
-  // Whether the system can present a client display geometry different from
-  // the server's (Section 8.3: only ICA, RDP, GoToMyPC, VNC, THINC).
-  virtual bool SupportsViewport() const { return false; }
   // PDA-style small client. Resize-model systems scale; clip-model systems
-  // show a viewport-sized window into the desktop.
+  // show a viewport-sized window into the desktop. Only ICA, RDP, GoToMyPC,
+  // VNC and THINC can present a client geometry different from the
+  // server's (Section 8.3); the others ignore the call.
   virtual void SetViewport(int32_t width, int32_t height) {}
 
   // --- Audio ------------------------------------------------------------------

@@ -38,7 +38,6 @@ class ThincSystem : public RemoteDisplaySystem {
     session_.SetInputCallback(std::move(fn));
   }
 
-  bool SupportsViewport() const override { return true; }
   void SetViewport(int32_t width, int32_t height) override {
     session_.client()->RequestViewport(width, height);
   }

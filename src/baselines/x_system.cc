@@ -9,10 +9,14 @@
 namespace thinc {
 namespace {
 
+// One synchronous (round-trip) request per this many requests.
+constexpr int32_t kXSyncEvery = 15;
+constexpr int32_t kNxSyncEvery = 150;
+
 // Quantization used by the NX image profiles: RGB565 for the default
 // (mildly lossy) profile, RGB444 for the aggressive WAN profile.
-Pixel QuantizeNx(Pixel p, int level) {
-  if (level >= 2) {
+Pixel QuantizeNx(Pixel p, bool rgb444) {
+  if (rgb444) {
     uint8_t r = PixelR(p) & 0xF0;
     uint8_t g = PixelG(p) & 0xF0;
     uint8_t b = PixelB(p) & 0xF0;
@@ -29,39 +33,27 @@ Pixel QuantizeNx(Pixel p, int level) {
 
 }  // namespace
 
-XSystemOptions MakeXOptions() { return XSystemOptions{}; }
-
-XSystemOptions MakeNxOptions(bool wan_profile) {
-  XSystemOptions o;
-  // The NX proxy answers most synchronous requests locally.
-  o.sync_every = 150;
-  o.nx_image_codec = true;
-  // NX's image codec is lossy by default; the WAN profile compresses harder.
-  o.lossy_level = wan_profile ? 2 : 1;
-  return o;
-}
-
 XSystem::XSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
-                 int32_t screen_height, XSystemOptions options)
+                 int32_t screen_height, SystemKind kind, bool wan_profile)
     : WireBaseline(loop, link, screen_width, screen_height, kInput),
-      options_(std::move(options)), rtt_(link.rtt),
+      nx_(kind == SystemKind::kNx), wan_profile_(wan_profile), rtt_(link.rtt),
       client_ws_(std::make_unique<WindowServer>(screen_width, screen_height,
                                                 /*driver=*/nullptr, &client_cpu_)) {
+  THINC_CHECK(kind == SystemKind::kX || kind == SystemKind::kNx);
   Connect();
 }
 
 void XSystem::Submit(Msg type, WireWriter* body, bool image_payload,
                      const Rect* image_rect, std::span<const Pixel> image) {
+  const int32_t sync_every = nx_ ? kNxSyncEvery : kXSyncEvery;
   // Serialize the request body.
   std::vector<uint8_t> raw = body->Take();
   if (image_payload) {
     // Image payloads append rect + pixels; NX substitutes its own codec.
-    if (options_.nx_image_codec) {
+    if (nx_) {
       std::vector<Pixel> px(image.begin(), image.end());
-      if (options_.lossy_level > 0) {
-        for (Pixel& p : px) {
-          p = QuantizeNx(p, options_.lossy_level);
-        }
+      for (Pixel& p : px) {
+        p = QuantizeNx(p, /*rgb444=*/wan_profile_);
       }
       std::vector<uint8_t> png =
           PngLikeEncode(px, image_rect->width, image_rect->height);
@@ -81,7 +73,7 @@ void XSystem::Submit(Msg type, WireWriter* body, bool image_payload,
       out.Bytes(png);
       Send(type, out.Take(), release);
       ++request_count_;
-      if (request_count_ % options_.sync_every == 0) {
+      if (request_count_ % sync_every == 0) {
         app_gate_ = std::max(app_gate_, release) + rtt_;
       }
       return;
@@ -107,7 +99,7 @@ void XSystem::Submit(Msg type, WireWriter* body, bool image_payload,
   SimTime release = std::max(compressed_at, app_gate_);
   Send(type, out.Take(), release);
   ++request_count_;
-  if (request_count_ % options_.sync_every == 0) {
+  if (request_count_ % sync_every == 0) {
     // The app now blocks until the X server's reply makes the round trip.
     app_gate_ = release + rtt_;
   }
@@ -270,7 +262,7 @@ void XSystem::VideoFrame(int32_t stream_id, const Yv12Frame& frame) {
   const Rect& dst = it->second;
   Surface rgb = Yv12ScaleToRgb(frame, dst.width, dst.height);
   server_cpu_.Charge(static_cast<double>(dst.area()) * cpucost::kColorConvertPerPixel);
-  if (options_.nx_image_codec) {
+  if (nx_) {
     // NX's differential codec degenerates on always-changing video content:
     // the delta pass is pure overhead before the entropy stage — the reason
     // NX posts the worst LAN video quality in the paper (12%).

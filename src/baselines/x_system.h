@@ -4,14 +4,14 @@
 // forwarded to a window server running *on the client*, which performs all
 // rendering with the client's (slower) CPU. Key modelled behaviours:
 //
-//   * Synchronous round trips: every `sync_every` requests the application
-//     blocks for one RTT (geometry queries, XSync, ...). This is the tight
+//   * Synchronous round trips: every 15th request the application blocks
+//     for one RTT (geometry queries, XSync, ...). This is the tight
 //     application/interface coupling that makes X degrade ~2.5x from LAN to
-//     WAN (Section 8.3). NX's proxy answers most of these locally, which is
-//     its main WAN win.
-//   * ssh -C style stream compression (LZSS) for X; NX additionally applies
-//     its image codec (PNG-like, optionally lossy in the WAN profile) to
-//     image payloads.
+//     WAN (Section 8.3). NX's proxy answers most of these locally (one in
+//     150 still blocks), which is its main WAN win.
+//   * ssh -C style stream compression (LZSS) for X; NX instead applies its
+//     lossy image codec (RGB565-quantized PNG-like, RGB444 in the WAN
+//     profile) to image payloads.
 //   * No XVideo across the network: video frames are color-converted by the
 //     player on the server and shipped as full-size RGB images. When the
 //     proxy's outbound queue backs up, the player drops frames — X's choppy
@@ -26,23 +26,12 @@
 
 namespace thinc {
 
-struct XSystemOptions {
-  // One synchronous (round-trip) request per this many requests.
-  int32_t sync_every = 15;
-  // NX: PNG-like image codec instead of generic stream compression.
-  bool nx_image_codec = false;
-  // NX image quantization before encoding: 0 = lossless, 1 = RGB565 (the
-  // default profile's mild loss), 2 = RGB444 (the aggressive WAN profile).
-  int lossy_level = 0;
-};
-
-XSystemOptions MakeXOptions();
-XSystemOptions MakeNxOptions(bool wan_profile);
-
 class XSystem : public WireBaseline, public DrawingApi {
  public:
+  // `kind` is kX or kNx; X has no WAN profile, so only NX reads
+  // `wan_profile`.
   XSystem(EventLoop* loop, const LinkParams& link, int32_t screen_width,
-          int32_t screen_height, XSystemOptions options);
+          int32_t screen_height, SystemKind kind, bool wan_profile = false);
 
   // --- RemoteDisplaySystem -----------------------------------------------------
   DrawingApi* api() override { return this; }
@@ -103,7 +92,10 @@ class XSystem : public WireBaseline, public DrawingApi {
   void FlushPendingImage();
   void OnClientFrame(uint8_t type, std::span<const uint8_t> payload) override;
 
-  XSystemOptions options_;
+  // NX: the proxy answers most synchronous requests and codes images.
+  const bool nx_;
+  // NX's WAN profile: RGB444 image quantization instead of RGB565.
+  const bool wan_profile_;
   SimTime rtt_;
   std::unique_ptr<WindowServer> client_ws_;  // runs on the client host
 

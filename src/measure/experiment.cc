@@ -93,27 +93,17 @@ std::unique_ptr<RemoteDisplaySystem> MakeSystem(SystemKind kind, EventLoop* loop
                                            /*server_cpu_cores=*/1,
                                            config.transport);
     case SystemKind::kX:
-      return std::make_unique<XSystem>(loop, link, w, h, MakeXOptions());
     case SystemKind::kNx:
-      return std::make_unique<XSystem>(loop, link, w, h,
-                                       MakeNxOptions(config.wan_profile));
+      return std::make_unique<XSystem>(loop, link, w, h, kind, config.wan_profile);
     case SystemKind::kVnc:
-      return std::make_unique<ScrapeSystem>(loop, link, w, h,
-                                            MakeVncOptions(config.wan_profile));
-    case SystemKind::kSunRay: {
-      SunRayOptions o;
-      o.aggressive_compression = config.wan_profile;
-      return std::make_unique<SunRaySystem>(loop, link, w, h, o);
-    }
-    case SystemKind::kRdp:
-      return std::make_unique<RdpSystem>(loop, link, w, h,
-                                         MakeRdpOptions(config.wan_profile));
-    case SystemKind::kIca:
-      return std::make_unique<RdpSystem>(loop, link, w, h,
-                                         MakeIcaOptions(config.wan_profile));
     case SystemKind::kGotomypc:
-      return std::make_unique<ScrapeSystem>(loop, link, w, h,
-                                            MakeGotomypcOptions());
+      return std::make_unique<ScrapeSystem>(loop, link, w, h, kind,
+                                            config.wan_profile);
+    case SystemKind::kSunRay:
+      return std::make_unique<SunRaySystem>(loop, link, w, h, config.wan_profile);
+    case SystemKind::kRdp:
+    case SystemKind::kIca:
+      return std::make_unique<RdpSystem>(loop, link, w, h, kind, config.wan_profile);
     case SystemKind::kLocalPc:
       return std::make_unique<LocalPcSystem>(loop, link, w, h);
   }
@@ -122,16 +112,12 @@ std::unique_ptr<RemoteDisplaySystem> MakeSystem(SystemKind kind, EventLoop* loop
 
 namespace {
 
-void ApplyViewport(SystemKind kind, RemoteDisplaySystem* sys,
-                   const ExperimentConfig& config, EventLoop* loop) {
+void ApplyViewport(RemoteDisplaySystem* sys, const ExperimentConfig& config,
+                   EventLoop* loop) {
   if (!config.viewport.has_value()) {
     return;
   }
-  Point vp = *config.viewport;
-  if (kind == SystemKind::kGotomypc) {
-    vp = Point{640, 480};  // GoToMyPC's minimum supported geometry
-  }
-  sys->SetViewport(vp.x, vp.y);
+  sys->SetViewport(config.viewport->x, config.viewport->y);
   loop->Run();  // drain the initial refresh before measurement starts
 }
 
@@ -200,7 +186,7 @@ WebRunResult RunWeb(SystemKind kind, const ExperimentConfig& config,
                     int32_t page_count, std::vector<StageBreakdown>* stages) {
   EventLoop loop;
   std::unique_ptr<RemoteDisplaySystem> sys = MakeSystem(kind, &loop, config);
-  ApplyViewport(kind, sys.get(), config, &loop);
+  ApplyViewport(sys.get(), config, &loop);
   WebWorkload workload(config.screen_width, config.screen_height);
 
   int32_t current_page = 0;
@@ -275,7 +261,7 @@ AvRunResult RunAvBenchmark(SystemKind kind, const ExperimentConfig& config,
                            SimTime duration) {
   EventLoop loop;
   std::unique_ptr<RemoteDisplaySystem> sys = MakeSystem(kind, &loop, config);
-  ApplyViewport(kind, sys.get(), config, &loop);
+  ApplyViewport(sys.get(), config, &loop);
   const Rect screen{0, 0, config.screen_width, config.screen_height};
   sys->SetVideoProbeRect(screen);
 

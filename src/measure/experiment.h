@@ -19,18 +19,6 @@
 
 namespace thinc {
 
-enum class SystemKind {
-  kThinc,
-  kX,
-  kNx,
-  kVnc,
-  kSunRay,
-  kRdp,
-  kIca,
-  kGotomypc,
-  kLocalPc,
-};
-
 const char* SystemName(SystemKind kind);
 
 struct ExperimentConfig {

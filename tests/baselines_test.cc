@@ -55,7 +55,7 @@ std::vector<Pixel> Noise(size_t n, uint64_t seed) {
 
 TEST(XSystemTest, ClientRendersFaithfully) {
   EventLoop loop;
-  XSystem sys(&loop, LanDesktopLink(), 160, 120, MakeXOptions());
+  XSystem sys(&loop, LanDesktopLink(), 160, 120, SystemKind::kX);
   Surface reference = DrawMixedContent(sys.api(), 160, 120);
   loop.Run();
   int64_t diff = 0;
@@ -67,7 +67,7 @@ TEST(XSystemTest, NxDefaultProfileBounded565) {
   // NX's default image profile is mildly lossy (RGB565-quantized images,
   // everything else lossless).
   EventLoop loop;
-  XSystem sys(&loop, LanDesktopLink(), 160, 120, MakeNxOptions(false));
+  XSystem sys(&loop, LanDesktopLink(), 160, 120, SystemKind::kNx);
   Surface reference = DrawMixedContent(sys.api(), 160, 120);
   loop.Run();
   const Surface& client = *sys.ClientFramebuffer();
@@ -84,7 +84,8 @@ TEST(XSystemTest, NxDefaultProfileBounded565) {
 
 TEST(XSystemTest, NxWanProfileBounded444) {
   EventLoop loop;
-  XSystem sys(&loop, WanDesktopLink(), 160, 120, MakeNxOptions(true));
+  XSystem sys(&loop, WanDesktopLink(), 160, 120, SystemKind::kNx,
+              /*wan_profile=*/true);
   Surface reference = DrawMixedContent(sys.api(), 160, 120);
   loop.Run();
   // RGB444 quantization: larger but still bounded channel error.
@@ -105,7 +106,7 @@ TEST(XSystemTest, ImageStripsCoalesceIntoOneRequest) {
   // one PutImage, so per-strip framing overhead does not multiply.
   auto bytes_for_strips = [](int32_t strip_rows) {
     EventLoop loop;
-    XSystem sys(&loop, LanDesktopLink(), 128, 128, MakeXOptions());
+    XSystem sys(&loop, LanDesktopLink(), 128, 128, SystemKind::kX);
     Prng rng(4);
     std::vector<Pixel> image(64 * 64);
     for (Pixel& p : image) {
@@ -131,7 +132,7 @@ TEST(XSystemTest, ImageStripsCoalesceIntoOneRequest) {
 TEST(XSystemTest, PendingImageFlushedBeforeOverlappingFill) {
   // Ordering: a fill issued after buffered strips must land on top of them.
   EventLoop loop;
-  XSystem sys(&loop, LanDesktopLink(), 64, 64, MakeXOptions());
+  XSystem sys(&loop, LanDesktopLink(), 64, 64, SystemKind::kX);
   std::vector<Pixel> row(64, MakePixel(1, 2, 3));
   for (int32_t y = 0; y < 8; ++y) {
     sys.api()->PutImage(kScreenDrawable, Rect{0, y, 64, 1}, row);
@@ -143,31 +144,29 @@ TEST(XSystemTest, PendingImageFlushedBeforeOverlappingFill) {
 }
 
 TEST(XSystemTest, SyncRequestsStallWanPipelines) {
-  auto run = [](SimTime rtt, int32_t sync_every) {
+  auto run = [](SimTime rtt, SystemKind kind) {
     EventLoop loop;
     LinkParams link{100'000'000, rtt, 1 << 20, "x"};
-    XSystemOptions options;
-    options.sync_every = sync_every;
-    XSystem sys(&loop, link, 200, 200, options);
-    // 200 small requests.
-    for (int i = 0; i < 200; ++i) {
+    XSystem sys(&loop, link, 200, 200, kind);
+    // 300 small requests.
+    for (int i = 0; i < 300; ++i) {
       sys.api()->FillRect(kScreenDrawable, Rect{i % 100, i % 100, 10, 10},
                           MakePixel(static_cast<uint8_t>(i), 0, 0));
     }
     loop.Run();
     return sys.LastDeliveryToClient();
   };
-  SimTime lan = run(200, 10);
-  SimTime wan = run(66'000, 10);
-  SimTime wan_suppressed = run(66'000, 10'000);
-  // 20 sync stalls x 66 ms dominates WAN; suppression (NX) removes them.
+  SimTime lan = run(200, SystemKind::kX);
+  SimTime wan = run(66'000, SystemKind::kX);
+  SimTime nx_wan = run(66'000, SystemKind::kNx);
+  // X's 20 sync stalls x 66 ms dominate WAN; the NX proxy answers all but 2.
   EXPECT_GT(wan, lan + 15 * 66'000);
-  EXPECT_LT(wan_suppressed, wan / 3);
+  EXPECT_LT(nx_wan, wan / 3);
 }
 
 TEST(XSystemTest, InputCrossesNetwork) {
   EventLoop loop;
-  XSystem sys(&loop, WanDesktopLink(), 64, 64, MakeXOptions());
+  XSystem sys(&loop, WanDesktopLink(), 64, 64, SystemKind::kX);
   SimTime received_at = -1;
   sys.SetInputCallback([&](Point) { received_at = loop.now(); });
   sys.ClientClick(Point{5, 5});
@@ -177,7 +176,7 @@ TEST(XSystemTest, InputCrossesNetwork) {
 
 TEST(ScrapeSystemTest, VncConvergesPixelExact) {
   EventLoop loop;
-  ScrapeSystem sys(&loop, LanDesktopLink(), 160, 120, MakeVncOptions(false));
+  ScrapeSystem sys(&loop, LanDesktopLink(), 160, 120, SystemKind::kVnc);
   Surface reference = DrawMixedContent(sys.api(), 160, 120);
   loop.Run();
   int64_t diff = 0;
@@ -187,7 +186,8 @@ TEST(ScrapeSystemTest, VncConvergesPixelExact) {
 
 TEST(ScrapeSystemTest, VncAggressiveProfileConverges) {
   EventLoop loop;
-  ScrapeSystem sys(&loop, WanDesktopLink(), 160, 120, MakeVncOptions(true));
+  ScrapeSystem sys(&loop, WanDesktopLink(), 160, 120, SystemKind::kVnc,
+                   /*wan_profile=*/true);
   Surface reference = DrawMixedContent(sys.api(), 160, 120);
   loop.Run();
   int64_t diff = 0;
@@ -197,7 +197,7 @@ TEST(ScrapeSystemTest, VncAggressiveProfileConverges) {
 
 TEST(ScrapeSystemTest, PullModelWaitsForRequest) {
   EventLoop loop;
-  ScrapeSystem sys(&loop, WanDesktopLink(), 64, 64, MakeVncOptions(false));
+  ScrapeSystem sys(&loop, WanDesktopLink(), 64, 64, SystemKind::kVnc);
   loop.Run();  // initial request arrives, nothing dirty yet
   sys.api()->FillRect(kScreenDrawable, Rect{0, 0, 64, 64}, kWhite);
   SimTime t0 = loop.now();
@@ -216,7 +216,7 @@ TEST(ScrapeSystemTest, PullModelWaitsForRequest) {
 
 TEST(ScrapeSystemTest, OffscreenContentInvisibleUntilCopied) {
   EventLoop loop;
-  ScrapeSystem sys(&loop, LanDesktopLink(), 64, 64, MakeVncOptions(false));
+  ScrapeSystem sys(&loop, LanDesktopLink(), 64, 64, SystemKind::kVnc);
   DrawableId pm = sys.api()->CreatePixmap(32, 32);
   sys.api()->FillRect(pm, Rect{0, 0, 32, 32}, kWhite);
   loop.Run();
@@ -228,7 +228,7 @@ TEST(ScrapeSystemTest, OffscreenContentInvisibleUntilCopied) {
 
 TEST(ScrapeSystemTest, GotomypcQuantizedFidelity) {
   EventLoop loop;
-  ScrapeSystem sys(&loop, WanDesktopLink(), 160, 120, MakeGotomypcOptions());
+  ScrapeSystem sys(&loop, WanDesktopLink(), 160, 120, SystemKind::kGotomypc);
   Surface reference = DrawMixedContent(sys.api(), 160, 120);
   loop.Run();
   // 8-bit color: bounded quantization error, not pixel-exact.
@@ -246,26 +246,19 @@ TEST(ScrapeSystemTest, GotomypcQuantizedFidelity) {
   EXPECT_GT(total_err, 0);  // it IS lossy
 }
 
-TEST(ScrapeSystemTest, GotomypcRelayAddsLatency) {
-  auto first_delivery = [](ScrapeOptions options) {
-    EventLoop loop;
-    LinkParams link{100'000'000, 70'000, 1 << 20, "inet"};
-    ScrapeSystem sys(&loop, link, 64, 64, options);
-    loop.Run();
-    sys.api()->FillRect(kScreenDrawable, Rect{0, 0, 64, 64}, kWhite);
-    SimTime t0 = loop.now();
-    loop.Run();
-    return sys.LastDeliveryToClient() - t0;
-  };
-  ScrapeOptions direct = MakeVncOptions(false);
-  ScrapeOptions relayed = MakeVncOptions(false);
-  relayed.relay = true;
-  EXPECT_GT(first_delivery(relayed), first_delivery(direct) - 10'000);
+TEST(ScrapeSystemTest, GotomypcViewportIsAtLeast640x480) {
+  // GoToMyPC cannot show a client geometry below 640x480: a smaller
+  // viewport request gets that size, which the client then resizes into.
+  EventLoop loop;
+  ScrapeSystem sys(&loop, Pda80211gLink(), 1024, 768, SystemKind::kGotomypc);
+  sys.SetViewport(320, 240);
+  EXPECT_EQ(sys.ClientFramebuffer()->width(), 640);
+  EXPECT_EQ(sys.ClientFramebuffer()->height(), 480);
 }
 
 TEST(ScrapeSystemTest, VncClipViewportSendsOnlyVisible) {
   EventLoop loop;
-  ScrapeSystem sys(&loop, Pda80211gLink(), 256, 192, MakeVncOptions(false));
+  ScrapeSystem sys(&loop, Pda80211gLink(), 256, 192, SystemKind::kVnc);
   sys.SetViewport(64, 48);
   loop.Run();
   // Content fully outside the viewport: nothing crosses the wire.
@@ -396,7 +389,7 @@ TEST(SunRaySystemTest, ScreenCopyAccelerated) {
 
 TEST(RdpSystemTest, ConvergesPixelExact) {
   EventLoop loop;
-  RdpSystem sys(&loop, LanDesktopLink(), 160, 120, MakeRdpOptions(false));
+  RdpSystem sys(&loop, LanDesktopLink(), 160, 120, SystemKind::kRdp);
   Surface reference = DrawMixedContent(sys.api(), 160, 120);
   loop.Run();
   int64_t diff = 0;
@@ -411,20 +404,20 @@ TEST(RdpSystemTest, BitmapCacheSuppressesResends) {
   // the client finished the hit is pinned, so resolving a reference keeps
   // its client CPU charge.
   struct Case {
-    RdpOptions options;
+    SystemKind kind;
     bool viewport;
     SimTime processed_at;
   };
   const Case cases[] = {
-      {MakeRdpOptions(false), false, 1528},
-      {MakeRdpOptions(false), true, 1528},
-      {MakeIcaOptions(false), true, 1928},
+      {SystemKind::kRdp, false, 1528},
+      {SystemKind::kRdp, true, 1528},
+      {SystemKind::kIca, true, 1928},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(testing::Message() << "ica " << c.options.ica_client_resize
-                                    << " viewport " << c.viewport);
+    const bool ica = c.kind == SystemKind::kIca;
+    SCOPED_TRACE(testing::Message() << "ica " << ica << " viewport " << c.viewport);
     EventLoop loop;
-    RdpSystem sys(&loop, LanDesktopLink(), 256, 128, c.options);
+    RdpSystem sys(&loop, LanDesktopLink(), 256, 128, c.kind);
     if (c.viewport) {
       sys.SetViewport(128, 64);
     }
@@ -450,7 +443,7 @@ TEST(RdpSystemTest, BitmapCacheSuppressesResends) {
     EXPECT_EQ(sys.ClientLastProcessedAt(), c.processed_at);
     // ICA shows the desktop scaled by two each way; RDP shows its top-left.
     const Surface& fb = *sys.ClientFramebuffer();
-    const int32_t scale = c.options.ica_client_resize && c.viewport ? 2 : 1;
+    const int32_t scale = ica && c.viewport ? 2 : 1;
     for (int32_t y = 0; y < fb.height(); ++y) {
       for (int32_t x = 0; x < fb.width(); ++x) {
         ASSERT_EQ(fb.At(x, y), reference.screen().At(scale * x, scale * y))
@@ -466,7 +459,7 @@ TEST(RdpSystemTest, RejectedVideoFrameIsChargedButNotSent) {
   // dropped frame pays the same compression cost but adds no bytes.
   auto run = [](int frames, Rect second) {
     EventLoop loop;
-    RdpSystem sys(&loop, LanDesktopLink(), 160, 120, MakeRdpOptions(false));
+    RdpSystem sys(&loop, LanDesktopLink(), 160, 120, SystemKind::kRdp);
     loop.Run();
     sys.api()->PutImage(kScreenDrawable, Rect{0, 0, 32, 32}, Noise(32 * 32, 1));
     if (frames == 2) {
@@ -489,7 +482,7 @@ TEST(RdpSystemTest, RejectedVideoFrameIsNotTreatedAsCached) {
   // come back, the client has never seen them, so they must ship in full
   // rather than as a bitmap-cache reference.
   EventLoop loop;
-  RdpSystem sys(&loop, LanDesktopLink(), 160, 120, MakeRdpOptions(false));
+  RdpSystem sys(&loop, LanDesktopLink(), 160, 120, SystemKind::kRdp);
   WindowServer reference(160, 120, nullptr, nullptr);
   loop.Run();
   const Rect rect{8, 8, 32, 32};
@@ -512,9 +505,9 @@ TEST(RdpSystemTest, IcaClientResizeCostsClientCpuNotBandwidth) {
   // Section 8.3: ICA's client-only resize gives "no improvement in
   // bandwidth consumption" and "noticeably increases latency" — the full
   // data crosses either way, and the slow client pays the resample.
-  auto run = [](RdpOptions options) {
+  auto run = [](SystemKind kind) {
     EventLoop loop;
-    RdpSystem sys(&loop, Pda80211gLink(), 128, 128, options);
+    RdpSystem sys(&loop, Pda80211gLink(), 128, 128, kind);
     sys.SetViewport(32, 32);
     loop.Run();
     Prng rng(8);
@@ -529,8 +522,8 @@ TEST(RdpSystemTest, IcaClientResizeCostsClientCpuNotBandwidth) {
     return std::pair<int64_t, SimTime>(sys.BytesToClient(),
                                        sys.ClientLastProcessedAt());
   };
-  auto [ica_bytes, ica_done] = run(MakeIcaOptions(false));
-  auto [rdp_bytes, rdp_done] = run(MakeRdpOptions(false));
+  auto [ica_bytes, ica_done] = run(SystemKind::kIca);
+  auto [rdp_bytes, rdp_done] = run(SystemKind::kRdp);
   EXPECT_EQ(ica_bytes, rdp_bytes);          // no bandwidth improvement
   EXPECT_GT(ica_done, rdp_done + 500);      // client resample overhead
 }
@@ -570,7 +563,7 @@ TEST(LocalPcTest, ClickIsImmediate) {
 
 TEST(MultiCorePinTest, XSystemSingleCoreStillDropsVideoWhenSaturated) {
   EventLoop loop;
-  XSystem sys(&loop, LanDesktopLink(), 160, 120, MakeXOptions());
+  XSystem sys(&loop, LanDesktopLink(), 160, 120, SystemKind::kX);
   sys.app_cpu()->Charge(2e6);  // 1 s of backlog at 2.0x speed
   int32_t stream = sys.api()->VideoStreamCreate(64, 48, Rect{0, 0, 64, 48});
   Yv12Frame frame = Yv12Frame::Allocate(64, 48);
@@ -581,7 +574,7 @@ TEST(MultiCorePinTest, XSystemSingleCoreStillDropsVideoWhenSaturated) {
 
 TEST(MultiCorePinTest, RdpSingleCoreSkipsVideoFallbackWhenSaturated) {
   EventLoop loop;
-  RdpSystem sys(&loop, LanDesktopLink(), 160, 120, MakeRdpOptions(false));
+  RdpSystem sys(&loop, LanDesktopLink(), 160, 120, SystemKind::kRdp);
   loop.Run();
   const int64_t before = sys.BytesToClient();
   sys.app_cpu()->Charge(2e6);
@@ -593,7 +586,7 @@ TEST(MultiCorePinTest, RdpSingleCoreSkipsVideoFallbackWhenSaturated) {
 
 TEST(MultiCorePinTest, SunRaySingleCoreSkipsVideoFallbackWhenSaturated) {
   EventLoop loop;
-  SunRaySystem sys(&loop, LanDesktopLink(), 160, 120, SunRayOptions{});
+  SunRaySystem sys(&loop, LanDesktopLink(), 160, 120);
   loop.Run();
   const int64_t before = sys.BytesToClient();
   sys.app_cpu()->Charge(2e6);

@@ -163,15 +163,14 @@ TEST_P(FidelityPropertyTest, ClientConvergesToReference) {
     options.server_push = false;
     sys = std::make_unique<ThincSystem>(&loop, LanDesktopLink(), kW, kH, options);
   } else if (name == "X") {
-    sys = std::make_unique<XSystem>(&loop, LanDesktopLink(), kW, kH, MakeXOptions());
+    sys = std::make_unique<XSystem>(&loop, LanDesktopLink(), kW, kH, SystemKind::kX);
   } else if (name == "VNC") {
     sys = std::make_unique<ScrapeSystem>(&loop, LanDesktopLink(), kW, kH,
-                                         MakeVncOptions(false));
+                                         SystemKind::kVnc);
   } else if (name == "SunRay") {
     sys = std::make_unique<SunRaySystem>(&loop, LanDesktopLink(), kW, kH);
   } else {
-    sys = std::make_unique<RdpSystem>(&loop, LanDesktopLink(), kW, kH,
-                                      MakeRdpOptions(false));
+    sys = std::make_unique<RdpSystem>(&loop, LanDesktopLink(), kW, kH, SystemKind::kRdp);
   }
 
   WindowServer reference(kW, kH, nullptr, nullptr);
