@@ -25,8 +25,6 @@ FleetHost::FleetHost(EventLoop* loop, FleetOptions options)
       host_cpu_(loop, options.cpu_speed, options.cpu_cores),
       nic_(loop, options.link.bandwidth_bps) {
   THINC_CHECK(options_.cpu_cores >= 1);
-  THINC_CHECK(options_.cpu_headroom > 0 && options_.cpu_headroom <= 1.0);
-  THINC_CHECK(options_.nic_headroom > 0 && options_.nic_headroom <= 1.0);
 }
 
 uint64_t FleetHost::DeriveSessionSeed(uint64_t fleet_seed, uint64_t session_id) {
@@ -42,9 +40,9 @@ uint64_t FleetHost::DeriveSessionSeed(uint64_t fleet_seed, uint64_t session_id) 
 FleetHost::Capacity FleetHost::AdmissionCapacity() const {
   // K cores run K charges concurrently.
   return {.cpu_us_per_sec = 1e6 * options_.cpu_speed * options_.cpu_cores *
-                            options_.cpu_headroom,
+                            kAdmissionHeadroom,
           .nic_bps = static_cast<double>(options_.link.bandwidth_bps) *
-                     options_.nic_headroom};
+                     kAdmissionHeadroom};
 }
 
 bool FleetHost::FitsHeadroom(const FleetSessionDemand& demand,
@@ -84,17 +82,13 @@ FleetHost::Admission FleetHost::AddSession(const FleetSessionDemand& demand,
                                            int64_t weight, bool local,
                                            const DeviceProfile& profile) {
   if (!FitsHeadroom(demand, local)) {
-    if (options_.park_beyond_capacity) {
-      ++parked_;
-      return Admission::kParked;
-    }
-    ++rejected_;
-    return Admission::kRejected;
+    ++parked_;
+    return Admission::kParked;
   }
 
   // Ids are assigned only on admission, so id == index into sessions_ and
   // the public accessors, the seed derivation, and the telemetry host name
-  // all agree on one numbering even after parks/rejects.
+  // all agree on one numbering even after parks.
   auto s = std::make_unique<FleetSession>();
   s->id = sessions_.size();
   s->seed = DeriveSessionSeed(options_.seed, s->id);

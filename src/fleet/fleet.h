@@ -19,9 +19,8 @@
 //     assumption. Upstream input traffic is negligible and keeps the
 //     private wire.
 //   * Admission control — a session is admitted only while the sum of
-//     declared per-session demand fits under a configured CPU and NIC
-//     headroom; beyond that it is parked (counted, not instantiated) or
-//     rejected outright.
+//     declared per-session demand fits under 90% of the host's CPU and NIC
+//     capacity; beyond that it is parked (counted, not instantiated).
 //   * Overload degradation — a periodic controller watches host CPU/NIC lag
 //     and per-session backlog and walks each session up/down a 4-level
 //     ladder of paper mechanisms (flush-window stretch, tighter scheduler
@@ -79,13 +78,6 @@ struct FleetOptions {
   // timing only — wire bytes are identical at any K (DESIGN.md §12).
   int cpu_cores = 1;
   uint64_t seed = 1;
-  // Admission: sessions are admitted while the summed declared demand stays
-  // under headroom * capacity on BOTH resources.
-  double cpu_headroom = 0.9;
-  double nic_headroom = 0.9;
-  // Beyond-capacity sessions are parked (admissible later if capacity
-  // frees) rather than rejected.
-  bool park_beyond_capacity = true;
   // Per-session socket send buffer. Bytes committed here are un-sheddable
   // (the ladder's coalescing and fidelity downshift only reach the
   // scheduler), so deployments size it near the per-session share of the
@@ -139,7 +131,14 @@ struct FleetSession {
 
 class FleetHost {
  public:
-  enum class Admission { kAdmitted, kParked, kRejected };
+  // A beyond-capacity session is parked: counted, not instantiated, and
+  // admissible later if capacity frees.
+  enum class Admission { kAdmitted, kParked };
+
+  // Admission fills this fraction of the host's CPU and NIC capacity: a
+  // session is admitted while the summed declared demand stays under
+  // kAdmissionHeadroom * capacity on BOTH resources.
+  static constexpr double kAdmissionHeadroom = 0.9;
 
   FleetHost(EventLoop* loop, FleetOptions options);
 
@@ -210,7 +209,6 @@ class FleetHost {
   }
   FleetSession* session(size_t id) { return sessions_[id].get(); }
   size_t parked_count() const { return parked_; }
-  size_t rejected_count() const { return rejected_; }
 
   ThincServer* server(size_t id) { return thinc(id)->server(); }
   ThincClient* client(size_t id) { return thinc(id)->client(); }
@@ -287,7 +285,6 @@ class FleetHost {
   double admitted_cpu_us_per_sec_ = 0;
   int64_t admitted_nic_bytes_per_sec_ = 0;
   size_t parked_ = 0;
-  size_t rejected_ = 0;
   size_t local_count_ = 0;
   size_t live_sessions_ = 0;
   bool controller_running_ = false;

@@ -175,13 +175,12 @@ TEST(NicSchedulerTest, SingleFlowMatchesPrivateWireExactly) {
 
 // --- Admission control -------------------------------------------------------
 
-TEST(FleetAdmissionTest, CpuHeadroomRejectsExactlyTheNPlusFirst) {
+TEST(FleetAdmissionTest, CpuHeadroomParksExactlyTheNPlusFirst) {
   FleetOptions fo = SmallFleet(Lan());
-  fo.cpu_speed = 2.0;
-  fo.cpu_headroom = 0.5;  // capacity: 1e6 * 2.0 * 0.5 = 1e6 ref-us/sec
+  fo.cpu_speed = 2.0;  // capacity: 1e6 * 2.0 * 0.9 = 1.8e6 ref-us/sec
   EventLoop loop;
   FleetHost fleet(&loop, fo);
-  FleetSessionDemand d{250'000, 0};  // exactly 4 fit
+  FleetSessionDemand d{400'000, 0};  // 4 fit, a 5th would need 2e6
   EXPECT_EQ(fleet.PredictedCapacity(d), 4);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(fleet.AddSession(d), FleetHost::Admission::kAdmitted) << i;
@@ -192,26 +191,23 @@ TEST(FleetAdmissionTest, CpuHeadroomRejectsExactlyTheNPlusFirst) {
 }
 
 TEST(FleetAdmissionTest, NicHeadroomCapsSessions) {
-  FleetOptions fo = SmallFleet(Lan());  // 100 Mbps NIC
-  fo.nic_headroom = 0.5;                // 50 Mbps usable
-  fo.park_beyond_capacity = false;
+  FleetOptions fo = SmallFleet(Lan());  // 100 Mbps NIC, 90 Mbps usable
   EventLoop loop;
   FleetHost fleet(&loop, fo);
-  FleetSessionDemand d{0, 1'562'500};  // 12.5 Mbps each: exactly 4 fit
+  FleetSessionDemand d{0, 2'500'000};  // 20 Mbps each: 4 fit
   EXPECT_EQ(fleet.PredictedCapacity(d), 4);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(fleet.AddSession(d), FleetHost::Admission::kAdmitted) << i;
   }
-  EXPECT_EQ(fleet.AddSession(d), FleetHost::Admission::kRejected);
-  EXPECT_EQ(fleet.rejected_count(), 1u);
+  EXPECT_EQ(fleet.AddSession(d), FleetHost::Admission::kParked);
+  EXPECT_EQ(fleet.parked_count(), 1u);
 }
 
 TEST(FleetAdmissionTest, ParkedAttemptsDoNotConsumeIds) {
-  FleetOptions fo = SmallFleet(Lan());
-  fo.cpu_headroom = 0.5;  // capacity: 1e6 * 2.0 * 0.5 = 1e6 ref-us/sec
+  FleetOptions fo = SmallFleet(Lan());  // capacity: 1.8e6 ref-us/sec
   EventLoop loop;
   FleetHost fleet(&loop, fo);
-  FleetSessionDemand heavy{600'000, 0};
+  FleetSessionDemand heavy{1'000'000, 0};
   ASSERT_EQ(fleet.AddSession(heavy), FleetHost::Admission::kAdmitted);
   ASSERT_EQ(fleet.AddSession(heavy), FleetHost::Admission::kParked);
   FleetSessionDemand light{100'000, 0};
@@ -539,16 +535,14 @@ TEST(FleetDegradationTest, DisabledLadderStaysAtFullFidelity) {
 // --- Local (co-located) sessions --------------------------------------------
 
 TEST(FleetLocalSessionTest, LocalSessionsBypassNicAdmission) {
-  FleetOptions fo = SmallFleet(Lan());  // 100 Mbps NIC
-  fo.nic_headroom = 0.5;                // 50 Mbps usable
-  fo.park_beyond_capacity = false;
+  FleetOptions fo = SmallFleet(Lan());  // 100 Mbps NIC, 90 Mbps usable
   EventLoop loop;
   FleetHost fleet(&loop, fo);
-  FleetSessionDemand d{0, 1'562'500};  // 12.5 Mbps each: exactly 4 wire fit
+  FleetSessionDemand d{0, 2'500'000};  // 20 Mbps each: 4 wire sessions fit
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(fleet.AddSession(d), FleetHost::Admission::kAdmitted) << i;
   }
-  EXPECT_EQ(fleet.AddSession(d), FleetHost::Admission::kRejected)
+  EXPECT_EQ(fleet.AddSession(d), FleetHost::Admission::kParked)
       << "the NIC is full for wire sessions";
   // A co-located session never touches the NIC: the same declared demand is
   // admitted because its NIC component is zeroed (CPU demand still counts).

@@ -130,7 +130,6 @@ TEST(MultiCoreFleetTest, PredictedCapacityScalesWithCores) {
   FleetOptions fo;
   fo.link = LinkParams{100'000'000, 200, 1 << 20, "lan"};
   fo.cpu_speed = 2.0;
-  fo.cpu_headroom = 0.9;
   FleetSessionDemand demand;
   demand.cpu_us_per_sec = 450'000;
   fo.cpu_cores = 1;
