@@ -274,7 +274,7 @@ int main() {
               base.host.screen_width, base.host.screen_height,
               kPagesPerSession, static_cast<double>(bench::kThink) / kSecond,
               static_cast<long long>(base.host.link.bandwidth_bps / 1'000'000),
-              static_cast<long long>(base.interconnect_bps / 1'000'000));
+              static_cast<long long>(ClusterController::kInterconnectBps / 1'000'000));
 
   // -- Knee vs hosts: H independent hosts must hold H x the per-host knee.
   std::printf("\n-- Knee vs hosts (ladder off, migration off; SLO pooled "
@@ -352,7 +352,8 @@ int main() {
         base.host.screen_width, base.host.screen_height, kPagesPerSession,
         static_cast<long long>(bench::kThink / kMillisecond),
         static_cast<long long>(base.host.link.bandwidth_bps),
-        static_cast<long long>(base.interconnect_bps), bench::kKneeMs);
+        static_cast<long long>(ClusterController::kInterconnectBps),
+        bench::kKneeMs);
     std::fprintf(f, "  \"knee\": {\n    \"per_host\": {");
     for (size_t i = 0; i < knees.size(); ++i) {
       std::fprintf(f, "%s\"h%d\": %d", i > 0 ? ", " : "", knees[i].hosts,

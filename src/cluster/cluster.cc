@@ -37,7 +37,6 @@ constexpr double kDestColdFraction = 0.5;
 ClusterController::ClusterController(EventLoop* loop, ClusterOptions options)
     : loop_(loop), options_(options) {
   THINC_CHECK(options_.hosts >= 1);
-  THINC_CHECK(options_.interconnect_bps > 0);
   hosts_.reserve(options_.hosts);
   hot_ticks_.assign(options_.hosts, 0);
   for (int h = 0; h < options_.hosts; ++h) {
@@ -339,9 +338,9 @@ void ClusterController::StartMigration(int64_t gid, size_t from, size_t to) {
   // The state ships over the interconnect; the session resumes when the
   // last byte lands on the destination.
   const SimTime transfer =
-      options_.interconnect_rtt +
+      kInterconnectRtt +
       static_cast<SimTime>(static_cast<int64_t>(state_bytes) * 8 * kSecond /
-                           options_.interconnect_bps);
+                           kInterconnectBps);
   loop_->Schedule(transfer, [this, gid, to] { CompleteMigration(gid, to); });
 }
 

@@ -57,10 +57,6 @@ struct ClusterOptions {
   // per host (host h runs with seed DeriveSessionSeed(host.seed, h) and
   // prefix "cluster-h<h>-session-").
   FleetOptions host;
-  // Host-to-host backplane over which migration state ships. Far faster
-  // than session links: a campus backbone, not a client access line.
-  int64_t interconnect_bps = 1'000'000'000;
-  SimTime interconnect_rtt = 1 * kMillisecond;
   // Migration controller: sampling period, sustained-overload samples
   // before a move, and per-session cooldown between moves. At most
   // kMaxInflightMigrations handoffs run at once, and a destination must be
@@ -89,6 +85,11 @@ struct MigrationRecord {
 
 class ClusterController {
  public:
+  // Host-to-host backplane over which migration state ships. Far faster
+  // than session links: a campus backbone, not a client access line.
+  static constexpr int64_t kInterconnectBps = 1'000'000'000;
+  static constexpr SimTime kInterconnectRtt = 1 * kMillisecond;
+
   ClusterController(EventLoop* loop, ClusterOptions options);
 
   // --- Admission + placement -------------------------------------------------

@@ -199,15 +199,12 @@ SimTime ThincServer::EffectiveFlushInterval() const {
 void ThincServer::EnforceSchedulerCap() {
   // Graceful degradation under outage or stall: the update buffer never
   // grows past twice the framebuffer (once, when the overload ladder is
-  // engaged — never below 1x, since the collapse snapshot itself must fit
-  // under the cap). Past that, the backlog is worth less than a snapshot of
-  // the current screen — collapse it and mark one full-screen refresh to be
-  // materialized at the next connected flush.
-  const double budget_frames =
-      degradation_level_ == 0 ? std::max(1.0, options_.backlog_cap_framebuffers)
-                              : 1.0;
-  const size_t cap =
-      static_cast<size_t>(budget_frames * static_cast<double>(FramebufferBytes()));
+  // engaged: the collapse snapshot itself must fit under the cap). Past
+  // that, the backlog is worth less than a snapshot of the current screen —
+  // collapse it and mark one full-screen refresh to be materialized at the
+  // next connected flush.
+  const size_t budget_frames = degradation_level_ == 0 ? kBacklogCapFramebuffers : 1;
+  const size_t cap = budget_frames * FramebufferBytes();
   if (scheduler_.TotalBytes() <= cap) {
     return;
   }
@@ -1000,8 +997,7 @@ void ThincServer::MaybeClearUnacked() {
 }
 
 size_t ThincServer::MigrationDeltaBudgetBytes() const {
-  return static_cast<size_t>(std::max(1.0, options_.backlog_cap_framebuffers) *
-                             static_cast<double>(FramebufferBytes()));
+  return kBacklogCapFramebuffers * FramebufferBytes();
 }
 
 size_t ThincServer::MigrationStateBytes() {

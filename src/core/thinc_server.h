@@ -101,14 +101,6 @@ struct ThincServerOptions {
   // already encoded is reused at flush time and its encode CPU charge is
   // skipped, amortizing encode cost to ~1 per frame across N viewers.
   ByteBufferCache* shared_frame_cache = nullptr;
-  // Reconnect backlog budget, in framebuffers: while disconnected or
-  // stalled, the scheduler backlog may grow to this many framebuffers of
-  // encoded bytes before being coalesced into one full-screen snapshot.
-  // The same budget caps the differential state a live migration may ship
-  // (MigrationStateBytes): a dirty delta larger than the budget degrades to
-  // a full framebuffer snapshot. Values below 1.0 are clamped to 1.0 at use
-  // (the collapse snapshot itself must fit under the cap).
-  double backlog_cap_framebuffers = 2.0;
   // Adaptive codec layer (src/adapt): per-connection bandwidth/RTT
   // estimation plus intra/delta/delta+subsample selection, with the
   // temporal reference kept in per-connection server state (DESIGN.md §15).
@@ -123,10 +115,24 @@ struct ThincServerOptions {
   // Chrome-trace host name registered for this server's pid. A fleet host
   // names each session distinctly ("fleet-session-3") so traces separate.
   std::string telemetry_host = "thinc-server";
+  // Padding, not state: an unnamed bit-field, so nothing can set it. Every
+  // ExperimentConfig and ThincServer holds this struct, and 8 bytes smaller
+  // it moved glibc's heap so that perfbench web_paper's set-up passes
+  // trimmed and re-faulted the paper cells' 3 MB surfaces (27,862 more
+  // minor faults per run). See ROADMAP item 2's measurement hazards.
+  uint64_t : 64;
 };
 
 class ThincServer : public DisplayDriver {
  public:
+  // Reconnect backlog budget, in framebuffers: while disconnected or
+  // stalled, the scheduler backlog may grow to this many framebuffers of
+  // encoded bytes before being coalesced into one full-screen snapshot.
+  // The same budget caps the differential state a live migration may ship
+  // (MigrationStateBytes): a dirty delta larger than the budget degrades to
+  // a full framebuffer snapshot.
+  static constexpr size_t kBacklogCapFramebuffers = 2;
+
   // `cpu` and `payloads` belong to the session owner and are shared by every
   // server it runs: the host CPU account, and the pool through which
   // sessions showing the same pixels share payloads and their encodes.
@@ -221,8 +227,7 @@ class ThincServer : public DisplayDriver {
   bool differential_resync_armed() const { return resync_armed_; }
   // Region drawn since the client last provably matched the screen.
   const Region& unacked_region() const { return unacked_region_; }
-  // Migration delta budget in bytes (backlog_cap_framebuffers, floored at
-  // one framebuffer).
+  // Migration delta budget in bytes: kBacklogCapFramebuffers framebuffers.
   size_t MigrationDeltaBudgetBytes() const;
   // Rebind the server to another host's CpuAccount and payload pool
   // (migration; call before Attach() so no in-flight charge straddles
@@ -271,7 +276,7 @@ class ThincServer : public DisplayDriver {
   int64_t video_frames_decimated() const { return video_frames_decimated_; }
   size_t buffered_commands() const { return scheduler_.count(); }
   // Bytes currently buffered in the update scheduler (bounded by the
-  // backlog_cap_framebuffers budget through overflow coalescing).
+  // kBacklogCapFramebuffers budget through overflow coalescing).
   size_t buffered_bytes() const { return scheduler_.TotalBytes(); }
   int64_t reconnects() const { return reconnects_; }
   // Times the scheduler backlog was collapsed into a framebuffer snapshot.
@@ -345,9 +350,9 @@ class ThincServer : public DisplayDriver {
   // Re-sends kVideoSetup for every live stream after Attach() so the fresh
   // client can rebuild its stream table.
   void ReannounceStreams();
-  // Graceful degradation: when the scheduler backlog exceeds the configured
-  // budget (backlog_cap_framebuffers, default 2x the framebuffer size),
-  // collapse it into a single full-screen snapshot.
+  // Graceful degradation: when the scheduler backlog exceeds its budget
+  // (kBacklogCapFramebuffers framebuffers), collapse it into a single
+  // full-screen snapshot.
   void EnforceSchedulerCap();
   size_t FramebufferBytes() const;
   // Clears the unacked region when the client provably holds a pixel-exact
