@@ -29,6 +29,7 @@
 
 #include "bench/web_fleet.h"
 #include "src/fleet/fleet.h"
+#include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/logging.h"
 #include "src/workload/video.h"

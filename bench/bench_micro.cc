@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "bench/bench_common.h"
+#include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/codec/delta.h"
 #include "src/codec/hextile.h"

@@ -25,6 +25,7 @@
 #include "bench/web_fleet.h"
 #include "src/fleet/fleet.h"
 #include "src/net/loopback.h"
+#include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/buffer.h"
 #include "src/util/logging.h"

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/logging.h"
 

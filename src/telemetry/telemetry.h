@@ -41,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/telemetry/metrics.h"
 #include "src/util/event_loop.h"
 
 namespace thinc {
