@@ -7,6 +7,16 @@
 #include "src/telemetry/metrics.h"
 
 namespace thinc {
+namespace {
+
+// Counts one invalidation of an armed reference.
+void CountInvalidation() {
+  static Counter* invalidations =
+      MetricsRegistry::Get().GetCounter("codec.reference_invalidations");
+  invalidations->Inc();
+}
+
+}  // namespace
 
 void DeltaReference::Observe(Transport* conn) {
   estimator_.Invalidate();
@@ -33,9 +43,7 @@ void DeltaReference::Renegotiated(const Surface& screen, const Region& stale,
 
 void DeltaReference::FidelityChanged() {
   if (armed_) {
-    static Counter* invalidations =
-        MetricsRegistry::Get().GetCounter("codec.reference_invalidations");
-    invalidations->Inc();
+    CountInvalidation();
     stale_ = Region(screen_.bounds());
   }
 }
@@ -48,9 +56,7 @@ void DeltaReference::MarkStale(const Region& region) {
 
 void DeltaReference::Void() {
   if (armed_) {
-    static Counter* invalidations =
-        MetricsRegistry::Get().GetCounter("codec.reference_invalidations");
-    invalidations->Inc();
+    CountInvalidation();
   }
   armed_ = false;
   screen_ = Surface();
