@@ -13,6 +13,11 @@
 #   2. Configure+build the `sanitize` preset (ASan+UBSan, build-asan/) and
 #      run the full test suite under the sanitizers.
 #
+# Both presets are configured with warnings as errors (the root
+# CMakeLists.txt enables -Wall -Wextra), which needs CMake >= 3.24. The
+# setting lives here rather than in CMakeLists.txt so that other builds of
+# the sources, such as perfbench's Release build, keep their own flags.
+#
 # Usage: scripts/check.sh [--sanitize-only | --tier1-only]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,7 +34,7 @@ esac
 
 if [[ "$RUN_TIER1" == 1 ]]; then
   echo "== tier-1: default preset build + full ctest =="
-  cmake --preset default >/dev/null
+  cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
   cmake --build --preset default -j "$JOBS"
   ctest --preset default
 
@@ -94,7 +99,7 @@ fi
 
 if [[ "$RUN_SANITIZE" == 1 ]]; then
   echo "== sanitize: ASan+UBSan over the full test suite =="
-  cmake --preset sanitize >/dev/null
+  cmake --preset sanitize -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
   cmake --build --preset sanitize -j "$JOBS"
   ctest --preset sanitize
 fi
